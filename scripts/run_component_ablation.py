@@ -29,7 +29,7 @@ def main() -> None:
     print(f"{'label':>12}  {'BLEU-4':>7}  {'ROUGE-L':>7}  {'METEOR':>7}  {'MAE@5':>7}")
     for row in rows:
         print(f"{row['label']:>12}  {row['BLEU-4']:7.2f}  {row['ROUGE-L']:7.4f}  "
-              f"{row['METEOR']:7.4f}  {row['pred']['h5']['mae']:7.4f}")
+              f"{row['METEOR']:7.4f}  {row['pred']['T5']['mae']:7.4f}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(rows, fh, indent=2)

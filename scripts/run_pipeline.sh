@@ -5,6 +5,8 @@ set -euo pipefail
 
 OUT="${1:-/tmp/roadcast-demo}"
 mkdir -p "$OUT"
+# runs from an install or from a checkout with src/ on PYTHONPATH
+roadcast() { python3 -m roadcast.cli "$@"; }
 
 roadcast gen-data --nodes 6 --steps 200 --anomaly-rate 0.3 --depth 0.5 \
     --seed 0 --out "$OUT/data"

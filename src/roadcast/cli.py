@@ -13,14 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import generate_synthetic, load_dataset, save_dataset
 from .errors import DivergenceError, RoadcastError
 from .metrics import validate_report
-from .model import JointModel, ModelConfig
-from .training import (TrainConfig, evaluate, load_checkpoint, prepare_data,
-                       run_ablation, save_checkpoint, train)
+from .model import COMPONENTS, JointModel, ModelConfig
+from .training import (TrainConfig, evaluate, forecast_batches, load_checkpoint,
+                       prepare_data, run_ablation, save_checkpoint, train)
 
 COMMANDS = ("gen-data", "train", "predict", "describe", "evaluate", "ablate", "verify")
 
@@ -30,13 +28,7 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 EXIT_UNKNOWN = 64
 
-ABLATE_FLAGS = {
-    "no-text": {"use_text": False},
-    "no-gcn": {"use_gcn": False},
-    "no-importance": {"use_importance": False},
-    "no-xattn": {"use_xattn": False},
-    "no-memory": {"use_memory": False},
-}
+ABLATE_FLAGS = {f"no-{name}": {f"use_{name}": False} for name in COMPONENTS}
 
 
 def _load_configs(config_path, overrides) -> tuple:
@@ -96,16 +88,11 @@ def _load_eval_inputs(args):
 
 def cmd_predict(args) -> int:
     from .dataset import denormalize
-    from .training import batchify
 
     model, vocab, stats, data, graph = _load_eval_inputs(args)
-    model.set_training(False)
     lines = ["anchor,step," + ",".join(graph.node_names)]
-    for start in range(0, len(data.test), 16):
-        chunk = data.test[start:start + 16]
-        batch = batchify(chunk)
-        y_hat = denormalize(model.forward_predict(batch["x_hist"], batch["text_hist"]), stats)
-        for sample, fc in zip(chunk, y_hat):
+    for chunk, y_hat in forecast_batches(model, data.test):
+        for sample, fc in zip(chunk, denormalize(y_hat, stats)):
             for step in range(fc.shape[0]):
                 row = ",".join(repr(float(v)) for v in fc[step, :, 0])
                 lines.append(f"{sample.anchor_time},{step},{row}")
@@ -116,19 +103,13 @@ def cmd_predict(args) -> int:
 
 def cmd_describe(args) -> int:
     from .tokenizer import decode
-    from .training import batchify
 
     model, vocab, stats, data, graph = _load_eval_inputs(args)
-    model.set_training(False)
     records = []
-    for start in range(0, len(data.test), 16):
-        chunk = data.test[start:start + 16]
-        batch = batchify(chunk)
-        y_hat = model.forward_predict(batch["x_hist"], batch["text_hist"])
+    for chunk, y_hat in forecast_batches(model, data.test):
         seqs = model.decode_reports(y_hat, model.config.future_text_len)
-        cond = model.conditioning(y_hat)
         if model.config.use_importance:
-            scores, _ = model.generator.importance.forward(cond)
+            scores, _ = model.generator.importance.forward(model.conditioning(y_hat))
             selected = model.generator.importance.selected_indices(scores)
         else:
             selected = [[] for _ in chunk]
@@ -193,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
-    for name, func, needs_train in (("train", cmd_train, True), ("ablate", cmd_ablate, True)):
+    for name, func in (("train", cmd_train), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
         p.add_argument("--data", required=True)
         p.add_argument("--config", default=None)
@@ -204,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         if name == "train":
             p.add_argument("--ablate", default=None,
-                           help="comma list: no-text,no-gcn,no-importance,no-xattn,no-memory")
+                           help="comma list: " + ",".join(ABLATE_FLAGS))
         p.set_defaults(func=func)
 
     for name, func in (("predict", cmd_predict), ("describe", cmd_describe),

@@ -297,8 +297,13 @@ def _load_speeds(path: Path, graph: RoadGraph, step_minutes: int) -> TrafficSeri
             rows.append([float(v) for v in parts[1:]])
         except ValueError as err:
             raise ParseError(f"{path.name}: row {ln}: {err}")
-    return TrafficSeries(speeds=np.asarray(rows, dtype=np.float64)[..., None],
-                         step_minutes=step_minutes)
+    speeds = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(speeds))
+    if len(bad):
+        r, c = bad[0]
+        raise ParseError(f"{path.name}: row {r + 2}, column {header[c + 1]!r}: "
+                         f"non-finite speed {speeds[r, c]}")
+    return TrafficSeries(speeds=speeds[..., None], step_minutes=step_minutes)
 
 
 def _load_adjacency(path: Path) -> RoadGraph:

@@ -126,9 +126,6 @@ class GcnBlock(Module):
         self.a_physical = with_loops / with_loops.sum(axis=1, keepdims=True)
         self._cache = None
 
-    def adjacency(self) -> np.ndarray:
-        return adaptive_adjacency(self.e)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x [B, S, N, D] -> same shape."""
         s_mat = self.e @ self.e.T

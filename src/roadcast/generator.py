@@ -14,28 +14,25 @@ import numpy as np
 from .nn import (Embedding, LayerNorm, Linear, Module, MultiHeadAttention,
                  causal_mask, merge_heads, sinusoidal_positions, softmax_backward,
                  split_heads)
-from .numerics import RngState, relu, sigmoid, softmax_rows
+from .numerics import (RngState, relu, sigmoid, softmax_rows, topk_indices,
+                       topk_mask)
 from .tokenizer import BOS, EOS
 
 
-def selection_size(n_nodes: int, fraction: float = 0.3) -> int:
-    """Number of roads kept by the importance filter: ceil(fraction * N)."""
-    return max(1, math.ceil(fraction * n_nodes))
+SELECTED_FRACTION = 0.3  # share of roads the importance filter keeps
 
 
-def lora_apply(base_w: np.ndarray, a: np.ndarray, b: np.ndarray,
-               x: np.ndarray, scale: float) -> np.ndarray:
-    """y = x W + scale * (x A^T) B^T; the adapter path of a low-rank adapter."""
-    return x @ base_w + scale * ((x @ a.T) @ b.T)
+def selection_size(n_nodes: int) -> int:
+    """Roads kept by the importance filter: ceil(SELECTED_FRACTION * N), at least 1."""
+    return max(1, math.ceil(SELECTED_FRACTION * n_nodes))
 
 
 class RoadImportance(Module):
     """Per-node two-layer perceptron producing sigmoid importance scores and a
     hard top-30% node selection (ties toward the lower index)."""
 
-    def __init__(self, d_feat: int, hidden: int, rng: RngState, fraction: float = 0.3) -> None:
+    def __init__(self, d_feat: int, hidden: int, rng: RngState) -> None:
         super().__init__()
-        self.fraction = fraction
         self.fc1 = self.add_child("fc1", Linear(d_feat, hidden, rng, bias=True))
         self.fc2 = self.add_child("fc2", Linear(hidden, 1, rng, bias=True))
         self._mask_cache: Optional[np.ndarray] = None
@@ -52,27 +49,17 @@ class RoadImportance(Module):
         if self.freeze_masks and self._mask_cache is not None:
             sel = self._mask_cache
         else:
-            sel = self.select(scores)
+            sel = topk_mask(scores[..., 0], selection_size(scores.shape[2]))
             if self.freeze_masks:
                 self._mask_cache = sel
         self._cache = (h, z, scores)
         return scores, sel
 
-    def select(self, scores: np.ndarray) -> np.ndarray:
-        n = scores.shape[2]
-        k = selection_size(n, self.fraction)
-        flat = scores[..., 0]  # [B, T, N]
-        order = np.argsort(-flat, axis=-1, kind="stable")
-        sel = np.zeros_like(flat)
-        np.put_along_axis(sel, order[..., :k], 1.0, axis=-1)
-        return sel
-
     def selected_indices(self, scores: np.ndarray) -> List[List[int]]:
         """Per (b, t) node indices in descending-score order."""
         n = scores.shape[2]
-        k = selection_size(n, self.fraction)
-        flat = scores[..., 0].reshape(-1, n)
-        return [list(np.argsort(-row, kind="stable")[:k]) for row in flat]
+        return [list(row) for row in topk_indices(scores[..., 0].reshape(-1, n),
+                                                  selection_size(n))]
 
     def backward(self, dscores: np.ndarray) -> np.ndarray:
         h, z, scores = self._cache

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,12 @@ from .nn import Module
 from .numerics import RngState
 from .predictor import Predictor
 from .text_encoder import TextEncoder
+
+
+# Switchable components, in the order the progressive ablation table adds
+# them. Each name has a ``use_<name>`` field below and a ``no-<name>`` flag
+# for ``roadcast train --ablate``.
+COMPONENTS = ("text", "gcn", "importance", "xattn", "memory")
 
 
 @dataclass

@@ -1,7 +1,7 @@
-"""Dense-tensor kernels: matmul, softmax, activations, normalization, Top-K masking.
+"""Dense-tensor kernels: softmax, activations, Top-K selection, and the
+counter-based RNG.
 
 Everything is float64 and pure; the rest of the package is built on these.
-Tensors are plain numpy arrays with rank <= 4, row-major.
 """
 
 from __future__ import annotations
@@ -11,29 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-
-MAX_RANK = 4
-
-
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a float64 array of rank <= 4 and verify finiteness."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim > MAX_RANK:
-        raise DimensionError(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError("tensor contains NaN or Inf entries")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; batched over leading dimensions when ranks exceed 2."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim < 1 or b.ndim < 1:
-        raise DimensionError(f"matmul needs rank >= 1 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else -1]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    return np.matmul(a, b)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -46,19 +23,24 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def topk_mask(x: np.ndarray, k: int) -> np.ndarray:
-    """0/1 mask marking the k largest entries of each last-axis row.
+def topk_indices(x: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries of each last-axis row, largest first.
 
-    Ties are broken toward the lower index, so the mask is deterministic.
+    Ties are broken toward the lower index, so the selection is deterministic.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if k < 1 or k > n:
-        raise ParameterError(f"topk_mask k={k} outside [1, {n}]")
+        raise ParameterError(f"top-k k={k} outside [1, {n}]")
     # stable argsort on -x keeps lower indices first among ties
-    order = np.argsort(-x, axis=-1, kind="stable")
+    return np.argsort(-x, axis=-1, kind="stable")[..., :k]
+
+
+def topk_mask(x: np.ndarray, k: int) -> np.ndarray:
+    """0/1 mask marking the `topk_indices` of each last-axis row."""
+    x = np.asarray(x, dtype=np.float64)
     mask = np.zeros_like(x)
-    np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
+    np.put_along_axis(mask, topk_indices(x, k), 1.0, axis=-1)
     return mask
 
 
@@ -78,17 +60,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalize the last axis to mean 0 / var 1, then apply the affine (gain, bias)."""
-    x = np.asarray(x, dtype=np.float64)
-    if eps <= 0:
-        raise ParameterError("layer_norm eps must be positive")
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    normed = (x - mean) / np.sqrt(var + eps)
-    return normed * np.asarray(gain, dtype=np.float64) + np.asarray(bias, dtype=np.float64)
 
 
 @dataclass
@@ -114,7 +85,3 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._next().permutation(n)
-
-    def spawn(self) -> "RngState":
-        """Child stream decorrelated from this one."""
-        return RngState(seed=int(self._next().integers(0, 2**63 - 1)))

@@ -9,8 +9,6 @@ graph stage upstream, which keeps the encoder node-permutation equivariant.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .nn import LayerNorm, Linear, Module, MultiHeadAttention, sinusoidal_positions
@@ -50,7 +48,7 @@ class PatchEmbed(Module):
 
 class TwoStageBlock(Module):
     """Patch-axis self-attention per node, then node-axis self-attention per
-    patch; each stage is residual + layer_norm (post-norm)."""
+    patch; each stage is residual + LayerNorm (post-norm)."""
 
     def __init__(self, d_model: int, heads: int, rng: RngState) -> None:
         super().__init__()

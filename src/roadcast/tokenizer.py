@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Sequence
 
 from .errors import ParameterError
@@ -36,14 +34,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.id_to_word)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps({"words": self.id_to_word}, indent=0) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        words = json.loads(Path(path).read_text())["words"]
-        return cls(id_to_word=words[4:])
 
 
 def build_vocab(corpus: Sequence[str], min_freq: int = 1) -> Vocab:

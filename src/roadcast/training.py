@@ -9,7 +9,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph, Sample,
                       windowize, z_normalize)
 from .errors import DivergenceError, ParameterError, ParseError
 from .metrics import MetricReport, evaluate_run
-from .model import JointModel, ModelConfig
+from .model import COMPONENTS, JointModel, ModelConfig
 from .numerics import RngState, softmax_rows
 from .tokenizer import PAD, Vocab, build_vocab, decode
 
@@ -272,18 +272,28 @@ def train_step(model: JointModel, opt: Adam, batch: Dict[str, np.ndarray],
 
 # --- evaluation -------------------------------------------------------------
 
+EVAL_BATCH = 16
+
+
+def forecast_batches(model: JointModel, samples: Sequence[Sample]
+                     ) -> Iterator[Tuple[Sequence[Sample], np.ndarray]]:
+    """Puts the model in eval mode and yields (chunk, normalized forecast) for
+    consecutive chunks of EVAL_BATCH samples."""
+    model.set_training(False)
+    for start in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[start:start + EVAL_BATCH]
+        batch = batchify(chunk)
+        yield chunk, model.forward_predict(batch["x_hist"], batch["text_hist"])
+
+
 def evaluate(model: JointModel, test_samples: Sequence[Sample], stats: NormStats,
-             vocab: Vocab, horizons: Sequence[int] = (5, 10, 15),
-             eval_batch: int = 16) -> Tuple[MetricReport, dict]:
+             vocab: Vocab, horizons: Sequence[int] = (5, 10, 15)
+             ) -> Tuple[MetricReport, dict]:
     """Forecast metrics on denormalized values; reports decoded greedily from
     the model's own forecasts (not the ground truth)."""
-    model.set_training(False)
     forecasts, gen_texts = [], []
     max_len = model.config.future_text_len
-    for start in range(0, len(test_samples), eval_batch):
-        chunk = test_samples[start:start + eval_batch]
-        batch = batchify(chunk)
-        y_hat = model.forward_predict(batch["x_hist"], batch["text_hist"])
+    for _, y_hat in forecast_batches(model, test_samples):
         forecasts.append(y_hat)
         gen_texts.extend(model.decode_reports(y_hat, max_len))
     y_hat_all = np.concatenate(forecasts, axis=0)
@@ -333,8 +343,9 @@ def save_checkpoint(out_dir, model: JointModel, vocab: Vocab, stats: NormStats,
 
 def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
     src = Path(ckpt_dir)
+    manifest_path, bin_path = src / "manifest.json", src / "params.bin"
     try:
-        manifest = json.loads((src / "manifest.json").read_text())
+        manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError:
         raise ParseError(f"missing manifest.json under {src}")
     except json.JSONDecodeError as err:
@@ -347,17 +358,27 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
     model = JointModel(cfg, vocab_size=len(vocab), n_nodes=manifest["n_nodes"],
                        physical_adjacency=np.zeros_like(a_hat), seed=manifest["seed"])
     model.gcn.a_physical = a_hat
-    raw = (src / "params.bin").read_bytes()
+    raw = bin_path.read_bytes()
     params = model.param_dict()
+    missing = sorted(set(params) - {entry["name"] for entry in manifest["tensors"]})
+    if missing:
+        raise ParseError(f"{manifest_path}: no entry for tensor {missing[0]}")
     for entry in manifest["tensors"]:
         name, shape, off = entry["name"], entry["shape"], entry["offset"]
         if name not in params:
-            raise ParseError(f"checkpoint tensor {name} unknown to this model")
-        count = int(np.prod(shape)) if shape else 1
-        vals = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
+            raise ParseError(f"{manifest_path}: tensor {name} unknown to this model")
         if list(params[name].shape) != shape:
-            raise ParseError(f"checkpoint tensor {name} shape {shape} != {params[name].shape}")
-        params[name][...] = vals
+            raise ParseError(f"{manifest_path}: tensor {name} shape {shape} "
+                             f"!= {params[name].shape}")
+        count = int(np.prod(shape)) if shape else 1
+        if off + 8 * count > len(raw):
+            raise ParseError(f"{bin_path}: {len(raw)} bytes end inside tensor {name} "
+                             f"(bytes {off}-{off + 8 * count})")
+        params[name][...] = np.frombuffer(raw, dtype="<f8", count=count,
+                                          offset=off).reshape(shape)
+    if len(raw) != manifest["total_bytes"]:
+        raise ParseError(f"{bin_path}: {len(raw)} bytes, {manifest_path.name} total_bytes is "
+                         f"{manifest['total_bytes']}")
     return model, vocab, stats, manifest
 
 
@@ -371,14 +392,11 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def table_grid() -> List[Tuple[str, dict]]:
     """Component rows in progressive order: none, +gcn, +importance, +xattn,
-    +memory (= full)."""
-    return [
-        ("none", dict(use_gcn=False, use_importance=False, use_xattn=False, use_memory=False)),
-        ("+gcn", dict(use_gcn=True, use_importance=False, use_xattn=False, use_memory=False)),
-        ("+importance", dict(use_gcn=True, use_importance=True, use_xattn=False, use_memory=False)),
-        ("+xattn", dict(use_gcn=True, use_importance=True, use_xattn=True, use_memory=False)),
-        ("+memory", dict(use_gcn=True, use_importance=True, use_xattn=True, use_memory=True)),
-    ]
+    +memory (= full). Text conditioning stays on in every row."""
+    names = [c for c in COMPONENTS if c != "text"]
+    return [("+" + names[i - 1] if i else "none",
+             {f"use_{c}": j < i for j, c in enumerate(names)})
+            for i in range(len(names) + 1)]
 
 
 def run_ablation(graph: RoadGraph, series: TrafficSeries, events: EventLog,

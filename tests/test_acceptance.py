@@ -49,12 +49,6 @@ CRIT7_DATA = dict(n_nodes=8, n_steps=600, anomaly_rate=0.3, anomaly_depth=0.6,
                   seed=0)
 CRIT7_TRAIN = dict(lr=0.001, batch=8, epochs=60, warmup_epochs=4)
 
-TINY = ModelConfig(d_model=8, heads=2, n_blocks=1, patch=4, window=8,
-                   d_embed=4, hist_text_len=8, future_text_len=10, top_k=4,
-                   memory_slots=4, decoder_blocks=1, detector_hidden=4,
-                   lora_rank=4, lora_alpha=8.0, lora_dropout=0.0)
-
-
 def _mean_mae(report) -> float:
     return float(np.mean([report.pred[k]["mae"] for k in report.pred]))
 
@@ -196,12 +190,12 @@ def test_criterion_7_component_ablation_direction():
           f"median full {med_f:.2f} vs none {med_n:.2f}")
 
 
-def test_criterion_8_determinism_and_persistence(tmp_path):
+def test_criterion_8_determinism_and_persistence(tiny_cfg, tmp_path):
     graph, series, events = generate_synthetic(4, 48, 0.3, 0.4, seed=1)
     outputs = []
     for run in range(2):
-        data = prepare_data(graph, series, events, TINY)
-        model = JointModel(TINY, vocab_size=len(data.vocab), n_nodes=4,
+        data = prepare_data(graph, series, events, tiny_cfg)
+        model = JointModel(tiny_cfg, vocab_size=len(data.vocab), n_nodes=4,
                            physical_adjacency=graph.adjacency, seed=0)
         tc = TrainConfig(lr=0.005, batch=8, epochs=2, warmup_epochs=1, seed=0)
         train(model, data.train, tc)
@@ -231,10 +225,10 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
           f"roundtrip={ckpt_ok} dataset={data_ok}")
 
 
-def test_criterion_9_metric_sanity_schema_and_verify(tmp_path):
+def test_criterion_9_metric_sanity_schema_and_verify(tiny_cfg, tmp_path):
     graph, series, events = generate_synthetic(4, 48, 0.3, 0.4, seed=2)
-    data = prepare_data(graph, series, events, TINY)
-    model = JointModel(TINY, vocab_size=len(data.vocab), n_nodes=4,
+    data = prepare_data(graph, series, events, tiny_cfg)
+    model = JointModel(tiny_cfg, vocab_size=len(data.vocab), n_nodes=4,
                        physical_adjacency=graph.adjacency, seed=0)
     train(model, data.train,
           TrainConfig(lr=0.005, batch=8, epochs=2, warmup_epochs=1, seed=0))

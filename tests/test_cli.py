@@ -1,8 +1,8 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
 import json
+import shutil
 
-import numpy as np
 import pytest
 
 from roadcast.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE,
@@ -146,3 +146,64 @@ def test_retrain_same_seed_is_bit_identical(pipeline, tmp_path):
     assert main(["train", "--data", str(data), "--config", str(cfg),
                  "--out", str(out)]) == EXIT_OK
     assert (out / "params.bin").read_bytes() == (ckpt / "params.bin").read_bytes()
+
+
+def _assert_one_line_usage_error(code, capsys, *needles):
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, (needle, err)
+
+
+def test_truncated_params_bin_exits_2(pipeline, tmp_path, capsys):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    raw = (bad / "params.bin").read_bytes()
+    (bad / "params.bin").write_bytes(raw[:-20])
+    last = max(json.loads((bad / "manifest.json").read_text())["tensors"],
+               key=lambda e: e["offset"])
+    code = main(["predict", "--ckpt", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "fc.csv")])
+    _assert_one_line_usage_error(code, capsys, "params.bin", last["name"])
+
+
+def test_params_bin_longer_than_manifest_exits_2(pipeline, tmp_path, capsys):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    with open(bad / "params.bin", "ab") as fh:
+        fh.write(b"\0" * 8)
+    code = main(["predict", "--ckpt", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "fc.csv")])
+    _assert_one_line_usage_error(code, capsys, "params.bin", "total_bytes")
+
+
+def test_manifest_missing_a_tensor_exits_2(pipeline, tmp_path, capsys):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    dropped = manifest["tensors"].pop(3)["name"]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["predict", "--ckpt", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "fc.csv")])
+    _assert_one_line_usage_error(code, capsys, "manifest.json", dropped)
+
+
+def test_non_finite_speed_exits_2(pipeline, tmp_path, capsys):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    lines = (bad / "speeds.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[3] = "nan"
+    lines[5] = ",".join(cells)
+    (bad / "speeds.csv").write_text("\n".join(lines) + "\n")
+    road = lines[0].split(",")[3]
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(bad), "--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, "speeds.csv", "row 6", road)
+    assert not out.exists()

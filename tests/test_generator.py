@@ -2,10 +2,9 @@
 memory slots, LoRA decoder, causality, and greedy decoding."""
 
 import numpy as np
-import pytest
 
 from roadcast.generator import (MemoryRead, ReportGenerator, RoadCrossAttention,
-                                RoadImportance, lora_apply, selection_size)
+                                RoadImportance, selection_size)
 from roadcast.numerics import RngState, sigmoid, softmax_rows
 from roadcast.tokenizer import BOS, EOS
 
@@ -20,8 +19,8 @@ def test_selection_size_exact_ceil():
 
 def test_importance_selects_exactly_k_with_ties_to_lower_index():
     imp = RoadImportance(4, 3, RngState(0))
-    scores = np.full((1, 1, 5, 1), 0.5)  # all tied
-    sel = imp.select(scores)
+    imp.fc2.w[...] = 0.0  # every road scores sigmoid(bias): all tied
+    _, sel = imp.forward(RngState(1).normal((1, 1, 5, 4)))
     assert sel.sum() == selection_size(5)
     np.testing.assert_array_equal(sel[0, 0], [1, 1, 0, 0, 0])
 
@@ -87,18 +86,6 @@ def test_importance_gradients():
         flat[i] = orig
         fd = (lp - lm) / (2 * h)
         assert abs(fd - gflat[i]) < 1e-6 * max(1.0, abs(fd))
-
-
-# --- lora helper -------------------------------------------------------------
-
-def test_lora_apply_formula():
-    rng = RngState(9)
-    w = rng.normal((4, 4))
-    a = rng.normal((2, 4))
-    b = rng.normal((4, 2))
-    x = rng.normal((3, 4))
-    want = x @ w + 0.5 * (x @ a.T @ b.T)
-    np.testing.assert_allclose(lora_apply(w, a, b, x, 0.5), want, atol=1e-12)
 
 
 # --- road cross attention ----------------------------------------------------

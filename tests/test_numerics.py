@@ -6,24 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadcast.errors import DimensionError, ParameterError
-from roadcast.numerics import (RngState, as_tensor, layer_norm, matmul, relu,
-                               sigmoid, softmax_rows, tanh, topk_mask)
+from roadcast.numerics import (RngState, relu, sigmoid, softmax_rows, tanh,
+                               topk_indices, topk_mask)
 
 
 # --- oracles (written first, deliberately naive) ----------------------------
-
-def matmul_oracle(a, b):
-    """Triple-loop matrix product."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
-
 
 def softmax_oracle(row):
     """Direct exp/normalize without max subtraction (safe for small inputs)."""
@@ -47,35 +34,6 @@ def topk_oracle(row, k):
     mask = np.zeros(len(row))
     mask[chosen] = 1.0
     return mask
-
-
-# --- matmul -----------------------------------------------------------------
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-
-def test_matmul_identity():
-    a = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(matmul(a, np.eye(4)), a)
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
-def test_matmul_batched_matches_per_slice():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(5, 3, 4))
-    b = rng.normal(size=(5, 4, 2))
-    got = matmul(a, b)
-    for i in range(5):
-        np.testing.assert_allclose(got[i], matmul_oracle(a[i], b[i]), atol=1e-12)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -111,7 +69,7 @@ def test_softmax_empty_axis_rejected():
         softmax_rows(np.zeros((2, 0)))
 
 
-# --- topk_mask --------------------------------------------------------------
+# --- topk_mask and topk_indices --------------------------------------------------------------
 
 def test_topk_matches_scan_oracle():
     rng = np.random.default_rng(3)
@@ -144,7 +102,17 @@ def test_topk_k_out_of_range():
         topk_mask(np.zeros(3), 4)
 
 
-# --- activations and layer_norm ---------------------------------------------
+def test_topk_indices_largest_first_ties_to_lower_index():
+    row = np.array([0.1, 0.9, 0.4, 0.9, 0.2])
+    np.testing.assert_array_equal(topk_indices(row, 3), [1, 3, 2])
+    rows = np.random.default_rng(3).normal(size=(4, 6))
+    for k in range(1, 7):
+        mask = np.zeros_like(rows)
+        np.put_along_axis(mask, topk_indices(rows, k), 1.0, axis=-1)
+        np.testing.assert_array_equal(mask, topk_mask(rows, k))
+
+
+# --- activations -----------------------------------------------------------
 
 def test_relu_values():
     np.testing.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
@@ -161,41 +129,6 @@ def test_sigmoid_matches_definition_and_is_stable():
 def test_tanh_matches_numpy():
     x = np.linspace(-3, 3, 7)
     np.testing.assert_array_equal(tanh(x), np.tanh(x))
-
-
-def test_layer_norm_zero_mean_unit_var():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 6), loc=5.0, scale=2.0)
-    out = layer_norm(x, np.ones(6), np.zeros(6))
-    np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
-
-
-def test_layer_norm_affine_applied():
-    x = np.array([[1.0, 2.0, 3.0]])
-    base = layer_norm(x, np.ones(3), np.zeros(3))
-    out = layer_norm(x, 2.0 * np.ones(3), 7.0 * np.ones(3))
-    np.testing.assert_allclose(out, 2.0 * base + 7.0, atol=1e-12)
-
-
-def test_layer_norm_bad_eps():
-    with pytest.raises(ParameterError):
-        layer_norm(np.zeros((1, 2)), np.ones(2), np.zeros(2), eps=0.0)
-
-
-# --- as_tensor --------------------------------------------------------------
-
-def test_as_tensor_accepts_rank_4_rejects_rank_5():
-    assert as_tensor(np.zeros((1, 2, 3, 4))).shape == (1, 2, 3, 4)
-    with pytest.raises(DimensionError):
-        as_tensor(np.zeros((1, 1, 1, 1, 1)))
-
-
-def test_as_tensor_rejects_nan_and_inf():
-    with pytest.raises(DimensionError):
-        as_tensor([1.0, np.nan])
-    with pytest.raises(DimensionError):
-        as_tensor([np.inf])
 
 
 # --- RngState ---------------------------------------------------------------
@@ -220,9 +153,3 @@ def test_rng_state_replay_from_counter():
     draw = rng.normal((3,))
     np.testing.assert_array_equal(draw, RngState(11, counter=1).normal((3,)))
 
-
-def test_rng_spawn_decorrelates():
-    rng = RngState(5)
-    child = rng.spawn()
-    assert child.seed != rng.seed
-    assert not np.array_equal(child.normal((8,)), RngState(5, counter=1).normal((8,)))

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from roadcast.errors import ParameterError
-from roadcast.numerics import RngState, layer_norm
+from roadcast.numerics import RngState
 from roadcast.text_encoder import TextEncoder
 from roadcast.tokenizer import PAD
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize the last axis to mean 0 / var 1, then apply (gain, bias)."""
+    mean = np.mean(x, axis=-1, keepdims=True)
+    var = np.var(x, axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * gain + bias
 
 
 def straight_line_oracle(enc, tokens):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadcast.errors import ParameterError
-from roadcast.tokenizer import (BOS, EOS, PAD, SPECIALS, UNK, Vocab, build_vocab,
+from roadcast.tokenizer import (BOS, EOS, PAD, SPECIALS, UNK, build_vocab,
                                 decode, encode, normalize)
 
 
@@ -44,14 +44,6 @@ def test_build_vocab_min_freq_filters():
 def test_build_vocab_empty_corpus_rejected():
     with pytest.raises(ParameterError):
         build_vocab([])
-
-
-def test_vocab_roundtrip_via_file(tmp_path, vocab):
-    path = tmp_path / "vocab.json"
-    vocab.save(path)
-    loaded = Vocab.load(path)
-    assert loaded.id_to_word == vocab.id_to_word
-    assert loaded.word_to_id == vocab.word_to_id
 
 
 def test_encode_structure(vocab):

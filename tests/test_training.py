@@ -17,13 +17,7 @@ from roadcast.training import (Adam, TrainConfig, batchify, cross_entropy_loss,
                                save_checkpoint, table_grid, train)
 
 
-TINY = ModelConfig(d_model=8, heads=2, n_blocks=1, patch=4, window=8,
-                   d_embed=4, hist_text_len=8, future_text_len=10, top_k=4,
-                   memory_slots=4, decoder_blocks=1, detector_hidden=4,
-                   lora_rank=4, lora_alpha=8.0, lora_dropout=0.0)
-
-
-def tiny_setup(seed=0, n_steps=48, cfg=TINY):
+def tiny_setup(cfg, seed=0, n_steps=48):
     graph, series, events = generate_synthetic(4, n_steps, 0.3, 0.4, seed=seed)
     data = prepare_data(graph, series, events, cfg)
     model = JointModel(cfg, vocab_size=len(data.vocab), n_nodes=4,
@@ -169,9 +163,9 @@ def test_grad_check_respects_skip():
 
 # --- data preparation --------------------------------------------------------
 
-def test_prepare_data_boundary_and_stats():
-    graph, series, events, data, _ = tiny_setup()
-    n_samples = series.speeds.shape[0] - 2 * TINY.window + 1
+def test_prepare_data_boundary_and_stats(tiny_cfg):
+    graph, series, events, data, _ = tiny_setup(tiny_cfg)
+    n_samples = series.speeds.shape[0] - 2 * tiny_cfg.window + 1
     boundary = int(np.floor(0.8 * n_samples))
     assert data.test[0].anchor_time == boundary
     # stats fitted on pre-boundary rows only
@@ -180,8 +174,8 @@ def test_prepare_data_boundary_and_stats():
             data.stats.mean.shape), atol=1e-6)
 
 
-def test_batchify_shapes():
-    _, _, _, data, _ = tiny_setup()
+def test_batchify_shapes(tiny_cfg):
+    _, _, _, data, _ = tiny_setup(tiny_cfg)
     batch = batchify(data.train[:3])
     assert batch["x_hist"].shape == (3, 8, 4, 1)
     assert batch["y_future"].shape == (3, 8, 4, 1)
@@ -208,11 +202,11 @@ def test_train_config_validation():
 
 # --- training determinism ----------------------------------------------------
 
-def test_train_is_deterministic_and_evaluate_consistent():
+def test_train_is_deterministic_and_evaluate_consistent(tiny_cfg):
     tc = TrainConfig(lr=0.005, batch=4, epochs=2, warmup_epochs=1, seed=0)
     runs = []
     for _ in range(2):
-        graph, series, events, data, model = tiny_setup()
+        graph, series, events, data, model = tiny_setup(tiny_cfg)
         trace = train(model, data.train, tc)
         report, artifacts = evaluate(model, data.test, data.stats, data.vocab)
         runs.append((trace, dict(model.named_params()), artifacts["forecasts"],
@@ -224,14 +218,14 @@ def test_train_is_deterministic_and_evaluate_consistent():
     assert runs[0][3] == runs[1][3]
 
 
-def test_train_empty_split_rejected():
-    _, _, _, _, model = tiny_setup()
+def test_train_empty_split_rejected(tiny_cfg):
+    _, _, _, _, model = tiny_setup(tiny_cfg)
     with pytest.raises(ParameterError):
         train(model, [], TrainConfig())
 
 
-def test_train_max_steps_stops_early():
-    graph, series, events, data, model = tiny_setup()
+def test_train_max_steps_stops_early(tiny_cfg):
+    graph, series, events, data, model = tiny_setup(tiny_cfg)
     tc = TrainConfig(lr=0.005, batch=4, epochs=50, warmup_epochs=1, seed=0)
     trace = train(model, data.train, tc, max_steps=3)
     assert len(trace) == 1  # stopped inside the first epoch
@@ -239,8 +233,8 @@ def test_train_max_steps_stops_early():
 
 # --- checkpoint I/O ----------------------------------------------------------
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    graph, series, events, data, model = tiny_setup()
+def test_checkpoint_roundtrip_bit_exact(tiny_cfg, tmp_path):
+    graph, series, events, data, model = tiny_setup(tiny_cfg)
     tc = TrainConfig(lr=0.005, batch=4, epochs=1, warmup_epochs=0, seed=0)
     train(model, data.train, tc)
     save_checkpoint(tmp_path, model, data.vocab, data.stats, seed=0, train_cfg=tc)
@@ -263,9 +257,9 @@ def test_checkpoint_missing_manifest(tmp_path):
         load_checkpoint(tmp_path)
 
 
-def test_checkpoint_shape_mismatch_detected(tmp_path):
+def test_checkpoint_shape_mismatch_detected(tiny_cfg, tmp_path):
     import json
-    graph, series, events, data, model = tiny_setup()
+    graph, series, events, data, model = tiny_setup(tiny_cfg)
     save_checkpoint(tmp_path, model, data.vocab, data.stats, seed=0)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["tensors"][0]["shape"] = [1, 1]
@@ -285,9 +279,9 @@ def test_table_grid_progressive_order():
     assert not any(grid[0][1].values())
 
 
-def test_ablation_flags_change_model_behavior():
-    cfg = dataclasses.replace(TINY, use_text=False)
-    graph, series, events, data, model = tiny_setup(cfg=cfg)
+def test_ablation_flags_change_model_behavior(tiny_cfg):
+    cfg = dataclasses.replace(tiny_cfg, use_text=False)
+    graph, series, events, data, model = tiny_setup(cfg)
     batch = batchify(data.train[:2])
     y1 = model.forward_predict(batch["x_hist"], batch["text_hist"])
     blank = np.zeros_like(batch["text_hist"])
