@@ -11,7 +11,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .numerics import RngState, softmax_rows
 
 
@@ -188,6 +188,8 @@ class LayerNorm(Module):
 
     def __init__(self, d: int, eps: float = 1e-5) -> None:
         super().__init__()
+        if eps <= 0:
+            raise ParameterError(f"LayerNorm eps must be positive, got {eps}")
         self.eps = eps
         self.g = self.add_param("g", np.ones(d))
         self.b = self.add_param("b", np.zeros(d))

@@ -8,6 +8,9 @@ the CPU budgets stated alongside each test.
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -60,6 +63,22 @@ def _fit(graph, series, events, cfg, tc_kwargs, seed):
     train(model, data.train, TrainConfig(seed=seed, **tc_kwargs))
     report, _ = evaluate(model, data.test, data.stats, data.vocab)
     return report
+
+
+def _run_all(calls, monkeypatch):
+    """Results of independent (fn, args) calls, in call order, computed in up
+    to two worker processes. Every call is seeded, so the results are those of
+    a serial run; the parallelism only shortens criteria 6 and 7."""
+    workers = min(2, len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [fn(*args) for fn, args in calls]
+    # one BLAS thread per worker: two workers that each start a BLAS thread
+    # per CPU oversubscribe the CPUs and run slower than one serial process
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(fn, *args) for fn, args in calls]
+        return [f.result() for f in futures]
 
 
 def test_criterion_1_gradient_correctness():
@@ -149,15 +168,14 @@ def test_criterion_5_overfit_sanity():
           best < 0.05, f"best epoch-mean loss {best:.4f}")
 
 
-def test_criterion_6_text_ablation_direction():
+def test_criterion_6_text_ablation_direction(monkeypatch):
     graph, series, events = generate_synthetic(**CRIT6_DATA)
-    full, no_text = [], []
-    for seed in range(5):
-        full.append(_mean_mae(_fit(graph, series, events, ModelConfig(),
-                                   CRIT6_TRAIN, seed)))
-        cfg = dataclasses.replace(ModelConfig(), use_text=False)
-        no_text.append(_mean_mae(_fit(graph, series, events, cfg,
-                                      CRIT6_TRAIN, seed)))
+    cfg_no_text = dataclasses.replace(ModelConfig(), use_text=False)
+    reports = _run_all([(_fit, (graph, series, events, cfg, CRIT6_TRAIN, seed))
+                        for seed in range(5)
+                        for cfg in (ModelConfig(), cfg_no_text)], monkeypatch)
+    full = [_mean_mae(r) for r in reports[0::2]]
+    no_text = [_mean_mae(r) for r in reports[1::2]]
     med_f, med_n = float(np.median(full)), float(np.median(no_text))
     improv = (med_n - med_f) / med_n * 100.0
     _line(6, "median full-model MAE beats median no-text MAE by >= 1% on the "
@@ -165,20 +183,22 @@ def test_criterion_6_text_ablation_direction():
           f"median full {med_f:.4f} vs no-text {med_n:.4f}, improv {improv:+.2f}%")
 
 
-def test_criterion_7_component_ablation_direction():
+def test_criterion_7_component_ablation_direction(monkeypatch):
     graph, series, events = generate_synthetic(**CRIT7_DATA)
     grid = table_grid()
     none_flags, full_flags = grid[0][1], grid[-1][1]
-    full, none = [], []
-    for seed in range(5):
-        cfg_full = dataclasses.replace(ModelConfig(), **full_flags)
-        cfg_none = dataclasses.replace(ModelConfig(), **none_flags)
-        full.append(_fit(graph, series, events, cfg_full, CRIT7_TRAIN, seed).bleu4)
-        none.append(_fit(graph, series, events, cfg_none, CRIT7_TRAIN, seed).bleu4)
+    cfg_full = dataclasses.replace(ModelConfig(), **full_flags)
+    cfg_none = dataclasses.replace(ModelConfig(), **none_flags)
+    # the 5-row progressive table for the first seed, in fixed component
+    # order, goes first: it is the longest call
+    rows, *reports = _run_all(
+        [(run_ablation, (graph, series, events, ModelConfig(),
+                         TrainConfig(seed=0, **CRIT7_TRAIN)))]
+        + [(_fit, (graph, series, events, cfg, CRIT7_TRAIN, seed))
+           for seed in range(5) for cfg in (cfg_full, cfg_none)], monkeypatch)
+    full = [r.bleu4 for r in reports[0::2]]
+    none = [r.bleu4 for r in reports[1::2]]
     med_f, med_n = float(np.median(full)), float(np.median(none))
-    # 5-row progressive table for the first seed, in fixed component order
-    rows = run_ablation(graph, series, events, ModelConfig(),
-                        TrainConfig(seed=0, **CRIT7_TRAIN))
     print("\n    label         BLEU-4   ROUGE-L  METEOR")
     for row in rows:
         print(f"    {row['label']:<12}  {row['BLEU-4']:6.2f}   "

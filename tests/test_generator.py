@@ -246,6 +246,17 @@ def make_generator(seed=20, **kwargs):
     return ReportGenerator(**defaults)
 
 
+def test_lora_apply_formula():
+    """The decoder's Q projection is x W + (alpha / rank) * (x A^T) B^T, with
+    alpha and rank as configured (here 4.0 / 2)."""
+    proj = make_generator().blocks[0].wq
+    rng = RngState(9)
+    proj.bmat[...] = rng.normal(proj.bmat.shape)
+    x = rng.normal((3, proj.w.shape[0]))
+    want = x @ proj.w + 2.0 * (x @ proj.a.T @ proj.bmat.T)
+    np.testing.assert_allclose(proj.forward(x), want, atol=1e-12)
+
+
 def test_generator_logits_shape():
     gen = make_generator()
     tokens = np.array([[BOS, 4, 5, 6]])

@@ -189,29 +189,13 @@ def test_layer_norm_gradients():
     fd_check(ln, rng.normal((3, 4, 6), scale=2.0))
 
 
-def test_layer_norm_matches_oracle():
+def test_layer_norm_matches_numerics_function():
     from test_text_encoder import layer_norm as ln_fn
 
     rng = RngState(11)
     ln = LayerNorm(5)
     x = rng.normal((2, 3, 5))
     np.testing.assert_allclose(ln.forward(x), ln_fn(x, ln.g, ln.b), atol=1e-12)
-
-
-def test_layer_norm_zero_mean_unit_var():
-    x = np.random.default_rng(4).normal(size=(3, 6), loc=5.0, scale=2.0)
-    out = LayerNorm(6).forward(x)
-    np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
-
-
-def test_layer_norm_affine_applied():
-    x = np.array([[1.0, 2.0, 3.0]])
-    ln = LayerNorm(3)
-    base = ln.forward(x)
-    ln.g[...] = 2.0
-    ln.b[...] = 7.0
-    np.testing.assert_allclose(ln.forward(x), 2.0 * base + 7.0, atol=1e-12)
 
 
 # --- convolutions ------------------------------------------------------------

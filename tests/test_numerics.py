@@ -6,11 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadcast.errors import DimensionError, ParameterError
+from roadcast.nn import LayerNorm, Linear
 from roadcast.numerics import (RngState, relu, sigmoid, softmax_rows, tanh,
                                topk_indices, topk_mask)
 
 
 # --- oracles (written first, deliberately naive) ----------------------------
+
+def matmul_oracle(a, b):
+    """Triple-loop matrix product."""
+    n, k = a.shape
+    k2, m = b.shape
+    assert k == k2
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            for p in range(k):
+                out[i, j] += a[i, p] * b[p, j]
+    return out
+
 
 def softmax_oracle(row):
     """Direct exp/normalize without max subtraction (safe for small inputs)."""
@@ -34,6 +48,32 @@ def topk_oracle(row, k):
     mask = np.zeros(len(row))
     mask[chosen] = 1.0
     return mask
+
+
+# --- matmul: the products every layer computes with `@`, through Linear ------
+
+def test_matmul_matches_triple_loop_oracle():
+    rng = np.random.default_rng(0)
+    for seed in range(10):
+        lin = Linear(6, 3, RngState(seed), bias=False)
+        a = rng.normal(size=(4, 6))
+        np.testing.assert_allclose(lin.forward(a), matmul_oracle(a, lin.w), atol=1e-12)
+
+
+def test_matmul_identity():
+    a = np.arange(12.0).reshape(3, 4)
+    lin = Linear(4, 4, RngState(0), bias=False)
+    lin.w[...] = np.eye(4)
+    np.testing.assert_array_equal(lin.forward(a), a)
+
+
+def test_matmul_batched_matches_per_slice():
+    rng = np.random.default_rng(1)
+    lin = Linear(4, 2, RngState(1), bias=False)
+    a = rng.normal(size=(5, 3, 4))
+    got = lin.forward(a)
+    for i in range(5):
+        np.testing.assert_allclose(got[i], matmul_oracle(a[i], lin.w), atol=1e-12)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -129,6 +169,29 @@ def test_sigmoid_matches_definition_and_is_stable():
 def test_tanh_matches_numpy():
     x = np.linspace(-3, 3, 7)
     np.testing.assert_array_equal(tanh(x), np.tanh(x))
+
+
+# --- layer normalization (LayerNorm) ---------------------------------------
+
+def test_layer_norm_zero_mean_unit_var():
+    x = np.random.default_rng(4).normal(size=(3, 6), loc=5.0, scale=2.0)
+    out = LayerNorm(6).forward(x)
+    np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
+
+
+def test_layer_norm_affine_applied():
+    x = np.array([[1.0, 2.0, 3.0]])
+    ln = LayerNorm(3)
+    base = ln.forward(x)
+    ln.g[...] = 2.0
+    ln.b[...] = 7.0
+    np.testing.assert_allclose(ln.forward(x), 2.0 * base + 7.0, atol=1e-12)
+
+
+def test_layer_norm_bad_eps():
+    with pytest.raises(ParameterError):
+        LayerNorm(2, eps=0.0)
 
 
 # --- RngState ---------------------------------------------------------------

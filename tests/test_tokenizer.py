@@ -1,12 +1,16 @@
 """Tokenizer and vocabulary tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadcast.dataset import NormStats
 from roadcast.errors import ParameterError
+from roadcast.model import JointModel
 from roadcast.tokenizer import (BOS, EOS, PAD, SPECIALS, UNK, build_vocab,
                                 decode, encode, normalize)
+from roadcast.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -44,6 +48,17 @@ def test_build_vocab_min_freq_filters():
 def test_build_vocab_empty_corpus_rejected():
     with pytest.raises(ParameterError):
         build_vocab([])
+
+
+def test_vocab_roundtrip_via_file(tmp_path, vocab, tiny_cfg):
+    """The vocab is stored in the checkpoint manifest and rebuilt from it."""
+    model = JointModel(tiny_cfg, vocab_size=len(vocab), n_nodes=2,
+                       physical_adjacency=np.zeros((2, 2)), seed=0)
+    stats = NormStats(mean=np.zeros((2, 1)), std=np.ones((2, 1)))
+    save_checkpoint(tmp_path, model, vocab, stats, seed=0)
+    _, loaded, _, _ = load_checkpoint(tmp_path)
+    assert loaded.id_to_word == vocab.id_to_word
+    assert loaded.word_to_id == vocab.word_to_id
 
 
 def test_encode_structure(vocab):
