@@ -7,6 +7,7 @@ annotations, so real files with the same layout can be dropped in unchanged.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -181,15 +182,22 @@ def windowize(series: TrafficSeries, events: EventLog, vocab: Vocab, t: int,
     total = series.speeds.shape[0]
     if total < 2 * t:
         raise ParameterError(f"series length {total} < 2 * window ({2 * t}); dataset empty")
+    # stable, so events with equal (t, node) keep their log order, as when
+    # each window is filtered from the log and then sorted
+    ordered = sorted(events.events, key=lambda e: (e.t, e.node))
+    onsets = [e.t for e in ordered]
+
+    def texts(start: int, stop: int) -> str:
+        lo, hi = bisect_left(onsets, start), bisect_left(onsets, stop)
+        return ". ".join(e.text for e in ordered[lo:hi])
+
     samples = []
     for a in range(total - 2 * t + 1):
-        hist_events = sorted(events.in_window(a, a + t), key=lambda e: (e.t, e.node))
-        fut_events = sorted(events.in_window(a + t, a + 2 * t), key=lambda e: (e.t, e.node))
         samples.append(Sample(
             x_hist=series.speeds[a:a + t].copy(),
-            text_hist=encode(". ".join(e.text for e in hist_events), vocab, hist_text_len),
+            text_hist=encode(texts(a, a + t), vocab, hist_text_len),
             y_future=series.speeds[a + t:a + 2 * t].copy(),
-            text_future=encode(". ".join(e.text for e in fut_events), vocab, future_text_len),
+            text_future=encode(texts(a + t, a + 2 * t), vocab, future_text_len),
             anchor_time=a,
         ))
     return samples
@@ -265,6 +273,15 @@ def save_dataset(out_dir, graph: RoadGraph, series: TrafficSeries,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def require_keys(obj, keys: Sequence[str], where: str) -> None:
+    """ParseError at ``where`` unless ``obj`` is a JSON object holding every key."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{where}: missing key {key!r}")
+
+
 def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:
     src = Path(in_dir)
     try:
@@ -273,6 +290,7 @@ def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:
         raise ParseError(f"missing manifest.json under {src}")
     except json.JSONDecodeError as err:
         raise ParseError(f"manifest.json: {err}")
+    require_keys(manifest, ("adjacency", "speeds", "step_minutes", "events"), "manifest.json")
 
     graph = _load_adjacency(src / manifest["adjacency"])
     series = _load_speeds(src / manifest["speeds"], graph, int(manifest["step_minutes"]))
@@ -311,6 +329,7 @@ def _load_adjacency(path: Path) -> RoadGraph:
         spec = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{path.name}: {err}")
+    require_keys(spec, ("nodes", "edges"), path.name)
     names = spec["nodes"]
     n = len(names)
     adj = np.zeros((n, n))
@@ -340,6 +359,7 @@ def _load_events(path: Path, n_steps: int, n_nodes: int) -> EventLog:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise ParseError(f"{path.name}: line {ln}: {err}")
+        require_keys(obj, ("t", "node"), f"{path.name}: line {ln}")
         if obj.get("kind") not in EVENT_KINDS:
             raise ParseError(f"{path.name}: line {ln}: unknown kind {obj.get('kind')!r}")
         if not (0 <= obj["t"] < n_steps) or not (0 <= obj["node"] < n_nodes):

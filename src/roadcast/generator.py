@@ -7,6 +7,7 @@ projections, finished by a language-model head and greedy decoding.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -87,15 +88,35 @@ class RoadCrossAttention(Module):
         b, t, length, d = h_text.shape
         n = x_traffic.shape[2]
         hq = h_text.reshape(b * t, length, d)
-        weighted = x_traffic * scores
-        k_src = self.k_proj.forward(weighted.reshape(b * t, n, -1))
-        mask = np.where(sel.reshape(b * t, 1, n) > 0, 0.0, -np.inf)
-        mask = np.broadcast_to(mask, (b * t, length, n)).copy()
+        k_src, mask = self._road_inputs(x_traffic, scores, sel)
         h_mod = self.attn.forward(hq, k_src, mask)
-        g = sigmoid(self.gate.forward(np.concatenate([hq, h_mod], axis=-1)))
-        out = hq + g * h_mod
+        out, g = self._gated(hq, h_mod)
         self._cache = (x_traffic, scores, hq, h_mod, g, (b, t, length, d, n))
         return out.reshape(b, t, length, d)
+
+    def _road_inputs(self, x_traffic: np.ndarray, scores: np.ndarray,
+                     sel: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Importance-weighted roads through ``k_proj`` [B*T, N, D], and the
+        additive mask [B*T, 1, N] that hides unselected roads."""
+        b, t, n = sel.shape
+        k_src = self.k_proj.forward((x_traffic * scores).reshape(b * t, n, -1))
+        return k_src, np.where(sel.reshape(b * t, 1, n) > 0, 0.0, -np.inf)
+
+    def _gated(self, hq: np.ndarray, h_mod: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        g = sigmoid(self.gate.forward(np.concatenate([hq, h_mod], axis=-1)))
+        return hq + g * h_mod, g
+
+    def road_keys_values(self, x_traffic: np.ndarray, scores: np.ndarray,
+                         sel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The traffic side of `forward` for T = 1: split-head road keys and
+        values [B, h, N, dh] and the selection mask, for `step`."""
+        k_src, mask = self._road_inputs(x_traffic, scores, sel)
+        return self.attn.keys_values(k_src) + (mask,)
+
+    def step(self, h: np.ndarray, road: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """`forward` of decoder states h [B, 1, D] against `road_keys_values`."""
+        k, v, mask = road
+        return self._gated(h, self.attn.attend(self.attn.queries(h), k, v, mask)[0])[0]
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (d_h_text, d_scores); traffic features are treated as data."""
@@ -155,6 +176,20 @@ class MemoryRead(Module):
         return dout + self.wq.backward(merge_heads(dq))
 
 
+@dataclass
+class DecodeState:
+    """What greedy decoding keeps between steps of one batch: each causal
+    block's keys and values [B, h, max_len - 1, dh] for the positions run so
+    far, the position table, and the cross-attention's road keys, values and
+    mask (None without cross-attention)."""
+
+    keys: List[np.ndarray]
+    values: List[np.ndarray]
+    positions: np.ndarray
+    road: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    length: int = 0
+
+
 class ReportGenerator(Module):
     """Causal token decoder conditioned on traffic through the components
     above; ablation flags bypass individual components."""
@@ -197,18 +232,25 @@ class ReportGenerator(Module):
             h = norm.forward(h + blk.forward(h, h, mask))
         used_xattn = False
         if self.use_xattn:
-            if self.use_importance:
-                scores, sel = self.importance.forward(x_traffic)
-            else:
-                scores = np.ones(x_traffic.shape[:3] + (1,))
-                sel = np.ones(x_traffic.shape[:3])
+            scores, sel = self._road_selection(x_traffic)
             h4 = h[:, None, :, :]  # T = 1 report per sample
             fus = self.xattn.forward(h4, x_traffic, scores, sel)
             h = self.xattn_norm.forward(fus[:, 0])
             used_xattn = True
+        self._cache = used_xattn
+        return self._head(h)
+
+    def _road_selection(self, x_traffic: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Importance scores [B, T, N, 1] and selection [B, T, N]; all roads at
+        weight 1 when the importance filter is off."""
+        if self.use_importance:
+            return self.importance.forward(x_traffic)
+        return np.ones(x_traffic.shape[:3] + (1,)), np.ones(x_traffic.shape[:3])
+
+    def _head(self, h: np.ndarray) -> np.ndarray:
+        """Memory read (if on) and the language-model head: [B, L, D] -> logits [B, L, V]."""
         if self.use_memory:
             h = self.memory_norm.forward(self.memory.forward(h))
-        self._cache = used_xattn
         return self.lm_head.forward(h)
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -228,24 +270,47 @@ class ReportGenerator(Module):
             dh = dsum + dq + dkv
         self.embed.backward(dh)
 
-    def step_probs(self, tokens: np.ndarray, x_traffic: np.ndarray) -> np.ndarray:
-        """Next-token probability vector for each batch row."""
-        logits = self.forward(tokens, x_traffic)
-        return softmax_rows(logits[:, -1, :])
+    def step_probs(self, tokens: np.ndarray, state: DecodeState) -> np.ndarray:
+        """Run tokens [B, 1] at the next position of ``state``; returns the
+        next-token probabilities [B, V].
+
+        Every layer after the causal blocks acts on each position on its own,
+        and the blocks look only backwards, so this equals, to rounding, the
+        softmax of the last position of `forward` over the whole prefix.
+        """
+        pos = state.length
+        h = self.embed.forward(tokens) + state.positions[pos]
+        for blk, norm, keys, values in zip(self.blocks, self.block_norms,
+                                           state.keys, state.values):
+            h = norm.forward(h + blk.step(h, keys, values, pos))
+        if state.road is not None:
+            h = self.xattn_norm.forward(self.xattn.step(h, state.road))
+        state.length += 1
+        return softmax_rows(self._head(h)[:, -1, :])
 
     def greedy_decode(self, x_traffic: np.ndarray, max_len: int) -> List[List[int]]:
-        """Start from BOS, append argmax tokens, stop at EOS or max_len."""
+        """Start from BOS, append argmax tokens, stop at EOS or max_len.
+
+        Rows that have stopped are fed EOS until the whole batch stops.
+        """
         b = x_traffic.shape[0]
+        steps = max(max_len - 1, 0)
+        road = None
+        if self.use_xattn:
+            road = self.xattn.road_keys_values(x_traffic, *self._road_selection(x_traffic))
+        shapes = [(b, blk.h, steps, blk.dh) for blk in self.blocks]
+        state = DecodeState(keys=[np.empty(shape) for shape in shapes],
+                            values=[np.empty(shape) for shape in shapes],
+                            positions=sinusoidal_positions(steps, self.embed.w.shape[1]),
+                            road=road)
         seqs = [[BOS] for _ in range(b)]
         done = [False] * b
-        while not all(done) and max(len(s) for s in seqs) < max_len:
-            width = max(len(s) for s in seqs)
-            batch = np.array([s + [EOS] * (width - len(s)) for s in seqs])
-            probs = self.step_probs(batch, x_traffic)
-            for i in range(b):
+        for _ in range(steps):
+            if all(done):
+                break
+            probs = self.step_probs(np.array([[s[-1]] for s in seqs]), state)
+            for i, nxt in enumerate(np.argmax(probs, axis=1).tolist()):
                 if not done[i]:
-                    nxt = int(np.argmax(probs[i]))
                     seqs[i].append(nxt)
-                    if nxt == EOS:
-                        done[i] = True
+                    done[i] = nxt == EOS
         return seqs

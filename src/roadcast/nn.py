@@ -326,17 +326,40 @@ class MultiHeadAttention(Module):
 
     def forward(self, q_in: np.ndarray, kv_in: np.ndarray,
                 mask: Optional[np.ndarray] = None) -> np.ndarray:
-        q = split_heads(self.wq.forward(q_in), self.h)
+        q = self.queries(q_in)
+        k, v = self.keys_values(kv_in)
+        out, p = self.attend(q, k, v, mask)
+        self._cache = (q, k, v, p)
+        return out
+
+    def queries(self, q_in: np.ndarray) -> np.ndarray:
+        """[B, Lq, D] -> split-head queries [B, h, Lq, dh]."""
+        return split_heads(self.wq.forward(q_in), self.h)
+
+    def keys_values(self, kv_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """[B, Lk, D] -> split-head keys and values, each [B, h, Lk, dh]."""
         k = split_heads(self.wk.forward(kv_in), self.h)
-        v = split_heads(self.wv.forward(kv_in), self.h)
+        return k, split_heads(self.wv.forward(kv_in), self.h)
+
+    def attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+               mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Split-head q [B, h, Lq, dh] over k, v [B, h, Lk, dh] -> (output [B, Lq, D],
+        attention weights [B, h, Lq, Lk])."""
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.dh)
         if mask is not None:
             scores = scores + mask[..., None, :, :] if mask.ndim == 3 else scores + mask
         p = softmax_rows(scores)
-        ctx = p @ v
-        out = self.wo.forward(merge_heads(ctx))
-        self._cache = (q, k, v, p)
-        return out
+        return self.wo.forward(merge_heads(p @ v)), p
+
+    def step(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray, pos: int) -> np.ndarray:
+        """Causal self-attention of one new position per row, x [B, 1, D] at ``pos``.
+
+        Its keys and values are written into ``keys``/``values`` [B, h, >pos, dh]
+        at ``pos``, which already hold positions 0..pos-1; it attends over 0..pos.
+        """
+        q = self.queries(x)
+        keys[:, :, pos:pos + 1], values[:, :, pos:pos + 1] = self.keys_values(x)
+        return self.attend(q, keys[:, :, :pos + 1], values[:, :, :pos + 1])[0]
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (d_q_in, d_kv_in)."""

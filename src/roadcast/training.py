@@ -14,8 +14,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph, Sample,
-                      TrafficSeries, denormalize, fit_norm_stats, split_temporal,
-                      windowize, z_normalize)
+                      TrafficSeries, denormalize, fit_norm_stats, require_keys,
+                      split_temporal, windowize, z_normalize)
 from .errors import DivergenceError, ParameterError, ParseError
 from .metrics import MetricReport, evaluate_run
 from .model import COMPONENTS, JointModel, ModelConfig
@@ -350,6 +350,8 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
         raise ParseError(f"missing manifest.json under {src}")
     except json.JSONDecodeError as err:
         raise ParseError(f"manifest.json: {err}")
+    require_keys(manifest, ("config", "vocab_words", "norm_stats", "physical_adjacency",
+                            "n_nodes", "seed", "tensors", "total_bytes"), str(manifest_path))
     cfg = ModelConfig.from_dict(manifest["config"])
     vocab = Vocab(id_to_word=manifest["vocab_words"][4:])
     stats = NormStats.from_dict(manifest["norm_stats"])

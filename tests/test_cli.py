@@ -207,3 +207,45 @@ def test_non_finite_speed_exits_2(pipeline, tmp_path, capsys):
     code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(bad), "--out", str(out)])
     _assert_one_line_usage_error(code, capsys, "speeds.csv", "row 6", road)
     assert not out.exists()
+
+
+def _drop_key(path, key, line=None):
+    """Rewrite a JSON file, or one line of a JSON-lines file, without ``key``."""
+    if line is None:
+        obj = json.loads(path.read_text())
+        del obj[key]
+        path.write_text(json.dumps(obj))
+        return
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line - 1])
+    del obj[key]
+    lines[line - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fname,key,line", [
+    ("manifest.json", "speeds", None), ("manifest.json", "step_minutes", None),
+    ("adjacency.json", "nodes", None), ("adjacency.json", "edges", None),
+    ("events.jsonl", "t", 1), ("events.jsonl", "node", 1),
+])
+def test_dataset_file_missing_key_exits_2(pipeline, tmp_path, capsys, fname, key, line):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    _drop_key(bad / fname, key, line)
+    code = main(["predict", "--ckpt", str(ckpt), "--data", str(bad),
+                 "--out", str(tmp_path / "fc.csv")])
+    where = [fname, repr(key)] + ([f"line {line}"] if line else [])
+    _assert_one_line_usage_error(code, capsys, *where)
+
+
+@pytest.mark.parametrize("key", ["config", "vocab_words", "norm_stats",
+                                 "physical_adjacency", "n_nodes", "seed"])
+def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    _drop_key(bad / "manifest.json", key)
+    code = main(["describe", "--ckpt", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "reports.jsonl")])
+    _assert_one_line_usage_error(code, capsys, str(bad / "manifest.json"), repr(key))

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from roadcast.dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph,
-                              TrafficSeries, default_node_names, denormalize,
-                              fit_norm_stats, generate_synthetic, load_dataset,
-                              save_dataset, split_temporal, windowize,
-                              z_normalize)
+from roadcast.dataset import (EVENT_KINDS, Event, EventLog, NormStats, RoadGraph,
+                              Sample, TrafficSeries, default_node_names,
+                              denormalize, fit_norm_stats, generate_synthetic,
+                              load_dataset, save_dataset, split_temporal,
+                              windowize, z_normalize)
 from roadcast.errors import ParameterError, ParseError
-from roadcast.tokenizer import BOS, EOS, PAD, build_vocab, decode
+from roadcast.tokenizer import BOS, EOS, PAD, build_vocab, decode, encode
 
 
 @pytest.fixture
@@ -146,6 +146,45 @@ def test_windowize_text_windows_cover_event_onsets(small):
     early = [s for s in samples if s.anchor_time + 24 <= e.t]
     for s in early:
         assert e.text not in decode(s.text_future, vocab)
+
+
+def windowize_oracle(series, events, vocab, t, hist_text_len, future_text_len):
+    """Each window's events filtered from the whole log, then sorted."""
+    def text(start, stop):
+        hits = sorted(events.in_window(start, stop), key=lambda e: (e.t, e.node))
+        return ". ".join(e.text for e in hits)
+
+    return [Sample(x_hist=series.speeds[a:a + t].copy(),
+                   text_hist=encode(text(a, a + t), vocab, hist_text_len),
+                   y_future=series.speeds[a + t:a + 2 * t].copy(),
+                   text_future=encode(text(a + t, a + 2 * t), vocab, future_text_len),
+                   anchor_time=a)
+            for a in range(series.speeds.shape[0] - 2 * t + 1)]
+
+
+def test_windowize_matches_filter_and_sort_oracle():
+    t, a = 4, 3
+    series = TrafficSeries(speeds=np.random.default_rng(0).normal(size=(20, 3, 1)))
+    # out of time order; two events share (t, node); onsets at a, a+t-1, a+t
+    # and a+2t-1, the first and last steps of anchor a's two windows
+    log = [(a + 2 * t - 1, 2, "closure on oak"), (a + t, 1, "congestion on pine"),
+           (a, 0, "accident on elm"), (a + t - 1, 2, "construction on birch"),
+           (a + t, 1, "accident on cedar"), (a + t, 0, "closure on maple"),
+           (0, 1, "congestion on hazel"), (19, 2, "accident on rowan")]
+    events = EventLog([Event(t=ti, node=n, kind=txt.split()[0], text=txt)
+                       for ti, n, txt in log])
+    vocab = build_vocab([txt for _, _, txt in log])
+    got = windowize(series, events, vocab, t, hist_text_len=20, future_text_len=24)
+    want = windowize_oracle(series, events, vocab, t, 20, 24)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.anchor_time == w.anchor_time
+        assert g.text_hist == w.text_hist and g.text_future == w.text_future
+        np.testing.assert_array_equal(g.x_hist, w.x_hist)
+        np.testing.assert_array_equal(g.y_future, w.y_future)
+    # the tied pair keeps its log order: pine before cedar
+    fut = decode(got[a].text_future, vocab)
+    assert fut.index("pine") < fut.index("cedar") < fut.index("oak")
 
 
 def test_windowize_too_short_series():

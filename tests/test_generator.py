@@ -1,7 +1,10 @@
 """Report generator: importance selection, road cross-attention oracle,
 memory slots, LoRA decoder, causality, and greedy decoding."""
 
+import itertools
+
 import numpy as np
+import pytest
 
 from roadcast.generator import (MemoryRead, ReportGenerator, RoadCrossAttention,
                                 RoadImportance, selection_size)
@@ -369,3 +372,64 @@ def test_greedy_decode_deterministic():
     gen = make_generator(seed=39)
     traffic = RngState(40).normal((1, 1, 5, 3))
     assert gen.greedy_decode(traffic, 8) == gen.greedy_decode(traffic, 8)
+
+
+# --- cached decoding against the full-prefix recompute ----------------------
+
+def full_recompute_decode(gen, x_traffic, max_len):
+    """Greedy decoding that runs the whole prefix through `forward` at every
+    step, stopped rows padded with EOS; returns the sequences and each step's
+    last-position probabilities."""
+    b = x_traffic.shape[0]
+    seqs, done, steps = [[BOS] for _ in range(b)], [False] * b, []
+    while not all(done) and max(len(s) for s in seqs) < max_len:
+        width = max(len(s) for s in seqs)
+        batch = np.array([s + [EOS] * (width - len(s)) for s in seqs])
+        steps.append(softmax_rows(gen.forward(batch, x_traffic)[:, -1, :]))
+        for i in range(b):
+            if not done[i]:
+                seqs[i].append(int(np.argmax(steps[-1][i])))
+                done[i] = seqs[i][-1] == EOS
+    return seqs, steps
+
+
+def cached_decode(gen, x_traffic, max_len):
+    """`greedy_decode`, recording the probabilities of each `step_probs` call."""
+    steps, step_probs = [], gen.step_probs
+
+    def recording(tokens, state):
+        assert tokens.shape == (x_traffic.shape[0], 1)
+        steps.append(step_probs(tokens, state))
+        return steps[-1]
+
+    gen.step_probs = recording
+    return gen.greedy_decode(x_traffic, max_len), steps
+
+
+@pytest.mark.parametrize("use_importance,use_xattn,use_memory",
+                         list(itertools.product((True, False), repeat=3)))
+def test_cached_decode_matches_full_recompute_oracle(use_importance, use_xattn, use_memory):
+    max_len = 9
+    traffic = 3.0 * RngState(43).normal((6, 1, 5, 3))
+    ended = {"early": False, "at_max_len": False, "both_in_one_batch": False}
+    # raising EOS's logit makes rows stop before max_len
+    for eos_shift in (0.0, 1.5):
+        gen = make_generator(seed=41, n_blocks=2, use_importance=use_importance,
+                             use_xattn=use_xattn, use_memory=use_memory)
+        for blk in gen.blocks:
+            for proj in (blk.wq, blk.wv):
+                proj.bmat[...] = RngState(42).normal(proj.bmat.shape)
+        gen.lm_head.b[EOS] += eos_shift
+        want_seqs, want_steps = full_recompute_decode(gen, traffic, max_len)
+        seqs, steps = cached_decode(gen, traffic, max_len)
+        assert seqs == want_seqs
+        assert len(steps) == len(want_steps)
+        for got, want in zip(steps, want_steps):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        early = [s[-1] == EOS and len(s) < max_len for s in seqs]
+        ended["early"] |= any(early)
+        ended["at_max_len"] |= any(len(s) == max_len for s in seqs)
+        ended["both_in_one_batch"] |= any(early) and not all(early)
+    assert ended["early"] and ended["at_max_len"]
+    # without cross-attention the traffic is unused, so every row decodes alike
+    assert ended["both_in_one_batch"] == use_xattn
