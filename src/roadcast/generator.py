@@ -116,7 +116,8 @@ class RoadCrossAttention(Module):
     def step(self, h: np.ndarray, road: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
         """`forward` of decoder states h [B, 1, D] against `road_keys_values`."""
         k, v, mask = road
-        return self._gated(h, self.attn.attend(self.attn.queries(h), k, v, mask)[0])[0]
+        h_mod, _ = self.attn.attend(self.attn.queries(h), k, v, mask)
+        return self._gated(h, h_mod)[0]
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (d_h_text, d_scores); traffic features are treated as data."""
