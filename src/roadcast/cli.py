@@ -93,9 +93,8 @@ def cmd_predict(args) -> int:
     lines = ["anchor,step," + ",".join(graph.node_names)]
     for chunk, y_hat in forecast_batches(model, data.test):
         for sample, fc in zip(chunk, denormalize(y_hat, stats)):
-            for step in range(fc.shape[0]):
-                row = ",".join(repr(float(v)) for v in fc[step, :, 0])
-                lines.append(f"{sample.anchor_time},{step},{row}")
+            for step, row in enumerate(fc[:, :, 0].tolist()):
+                lines.append(f"{sample.anchor_time},{step}," + ",".join(map(repr, row)))
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} forecast rows to {args.out}")
     return EXIT_OK

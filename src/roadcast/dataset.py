@@ -282,6 +282,19 @@ def require_keys(obj, keys: Sequence[str], where: str) -> None:
             raise ParseError(f"{where}: missing key {key!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(obj: dict, key: str, where: str, low: Optional[int] = None) -> int:
+    """``obj[key]`` as an int (a bool is not one), at least ``low`` when given."""
+    value = obj[key]
+    if not _is_int(value) or (low is not None and value < low):
+        expected = "an integer" if low is None else f"an integer >= {low}"
+        raise ParseError(f"{where}: key {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:
     src = Path(in_dir)
     try:
@@ -291,9 +304,14 @@ def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:
     except json.JSONDecodeError as err:
         raise ParseError(f"manifest.json: {err}")
     require_keys(manifest, ("adjacency", "speeds", "step_minutes", "events"), "manifest.json")
+    for key in ("adjacency", "speeds", "events"):
+        if not isinstance(manifest[key], str):
+            raise ParseError(f"manifest.json: key {key!r} must be a file name, "
+                             f"got {manifest[key]!r}")
+    step_minutes = require_int(manifest, "step_minutes", "manifest.json", low=1)
 
     graph = _load_adjacency(src / manifest["adjacency"])
-    series = _load_speeds(src / manifest["speeds"], graph, int(manifest["step_minutes"]))
+    series = _load_speeds(src / manifest["speeds"], graph, step_minutes)
     events = _load_events(src / manifest["events"], series.speeds.shape[0], graph.n_nodes)
     return graph, series, events, manifest
 
@@ -331,12 +349,16 @@ def _load_adjacency(path: Path) -> RoadGraph:
         raise ParseError(f"{path.name}: {err}")
     require_keys(spec, ("nodes", "edges"), path.name)
     names = spec["nodes"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ParseError(f"{path.name}: key 'nodes' must be a list of strings, got {names!r}")
+    if not isinstance(spec["edges"], list):
+        raise ParseError(f"{path.name}: key 'edges' must be a list, got {spec['edges']!r}")
     n = len(names)
     adj = np.zeros((n, n))
     seen = set()
     for edge in spec["edges"]:
-        if len(edge) != 2:
-            raise ParseError(f"{path.name}: edge {edge} is not a pair")
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise ParseError(f"{path.name}: key 'edges': {edge!r} is not a pair of integers")
         i, j = edge
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"{path.name}: edge {edge} out of range for {n} nodes")
@@ -359,13 +381,16 @@ def _load_events(path: Path, n_steps: int, n_nodes: int) -> EventLog:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise ParseError(f"{path.name}: line {ln}: {err}")
-        require_keys(obj, ("t", "node"), f"{path.name}: line {ln}")
+        where = f"{path.name}: line {ln}"
+        require_keys(obj, ("t", "node"), where)
+        t, node = require_int(obj, "t", where), require_int(obj, "node", where)
         if obj.get("kind") not in EVENT_KINDS:
-            raise ParseError(f"{path.name}: line {ln}: unknown kind {obj.get('kind')!r}")
-        if not (0 <= obj["t"] < n_steps) or not (0 <= obj["node"] < n_nodes):
-            raise ParseError(f"{path.name}: line {ln}: index out of range")
+            raise ParseError(f"{where}: unknown kind {obj.get('kind')!r}")
+        if not (0 <= t < n_steps) or not (0 <= node < n_nodes):
+            raise ParseError(f"{where}: index out of range")
         if not obj.get("text"):
-            raise ParseError(f"{path.name}: line {ln}: empty text")
-        log.events.append(Event(t=int(obj["t"]), node=int(obj["node"]),
-                                kind=obj["kind"], text=obj["text"]))
+            raise ParseError(f"{where}: empty text")
+        if not isinstance(obj["text"], str):
+            raise ParseError(f"{where}: key 'text' must be a string, got {obj['text']!r}")
+        log.events.append(Event(t=t, node=node, kind=obj["kind"], text=obj["text"]))
     return log

@@ -128,22 +128,23 @@ class GcnBlock(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x [B, S, N, D] -> same shape."""
-        s_mat = self.e @ self.e.T
-        a_adp = softmax_rows(relu(s_mat))
+        a_adp = adaptive_adjacency(self.e)
         a_mix = 0.5 * (a_adp + self.a_physical)
-        agg = np.einsum("nm,bsmd->bsnd", a_mix, x)
+        agg = a_mix @ x
         z = self.w.forward(agg)
         out = relu(z) + x
-        self._cache = (x, s_mat, a_adp, a_mix, z)
+        self._cache = (x, a_adp, a_mix, z)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, s_mat, a_adp, a_mix, z = self._cache
+        x, a_adp, a_mix, z = self._cache
+        n = a_mix.shape[0]
         dz = dout * (z > 0)
         dagg = self.w.backward(dz)
-        dx = dout + np.einsum("nm,bsnd->bsmd", a_mix, dagg)
-        da_mix = np.einsum("bsnd,bsmd->nm", dagg, x)
+        dx = dout + a_mix.T @ dagg
+        # sum over batch, step and feature as one [N, B*S*D] @ [B*S*D, N] product
+        da_mix = np.moveaxis(dagg, 2, 0).reshape(n, -1) @ np.moveaxis(x, 2, 0).reshape(n, -1).T
         dr = softmax_backward(a_adp, 0.5 * da_mix)
-        ds = dr * (s_mat > 0)
+        ds = dr * (self.e @ self.e.T > 0)
         self._grads["e"] += (ds + ds.T) @ self.e
         return dx

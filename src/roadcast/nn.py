@@ -345,7 +345,8 @@ class MultiHeadAttention(Module):
                mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Split-head q [B, h, Lq, dh] over k, v [B, h, Lk, dh] -> (output [B, Lq, D],
         attention weights [B, h, Lq, Lk])."""
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.dh)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= np.sqrt(self.dh)
         if mask is not None:
             scores = scores + mask[..., None, :, :] if mask.ndim == 3 else scores + mask
         p = softmax_rows(scores)

@@ -18,9 +18,12 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise DimensionError("softmax_rows requires a non-empty last axis")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # one fresh array, reused in place: same operations in the same order as
+    # exp(x - max) / sum, without the two extra N-sized temporaries
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def topk_indices(x: np.ndarray, k: int) -> np.ndarray:

@@ -209,18 +209,32 @@ def test_non_finite_speed_exits_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def _drop_key(path, key, line=None):
-    """Rewrite a JSON file, or one line of a JSON-lines file, without ``key``."""
+def _edit_json(path, edit, line=None):
+    """Rewrite a JSON file, or one line of a JSON-lines file, after ``edit(obj)``."""
     if line is None:
         obj = json.loads(path.read_text())
-        del obj[key]
+        edit(obj)
         path.write_text(json.dumps(obj))
         return
     lines = path.read_text().splitlines()
     obj = json.loads(lines[line - 1])
-    del obj[key]
+    edit(obj)
     lines[line - 1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_key(path, key, line=None):
+    _edit_json(path, lambda obj: obj.pop(key), line)
+
+
+def _predict_on_edited_dataset(pipeline, tmp_path, fname, edit, line):
+    """Exit code of ``predict`` on a copy of the dataset with ``fname`` edited."""
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    _edit_json(bad / fname, edit, line)
+    return main(["predict", "--ckpt", str(ckpt), "--data", str(bad),
+                 "--out", str(tmp_path / "fc.csv")])
 
 
 @pytest.mark.parametrize("fname,key,line", [
@@ -229,12 +243,8 @@ def _drop_key(path, key, line=None):
     ("events.jsonl", "t", 1), ("events.jsonl", "node", 1),
 ])
 def test_dataset_file_missing_key_exits_2(pipeline, tmp_path, capsys, fname, key, line):
-    _, data, ckpt, _ = pipeline
-    bad = tmp_path / "data"
-    shutil.copytree(data, bad)
-    _drop_key(bad / fname, key, line)
-    code = main(["predict", "--ckpt", str(ckpt), "--data", str(bad),
-                 "--out", str(tmp_path / "fc.csv")])
+    code = _predict_on_edited_dataset(pipeline, tmp_path, fname,
+                                      lambda obj: obj.pop(key), line)
     where = [fname, repr(key)] + ([f"line {line}"] if line else [])
     _assert_one_line_usage_error(code, capsys, *where)
 
@@ -249,3 +259,20 @@ def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key
     code = main(["describe", "--ckpt", str(bad), "--data", str(data),
                  "--out", str(tmp_path / "reports.jsonl")])
     _assert_one_line_usage_error(code, capsys, str(bad / "manifest.json"), repr(key))
+
+
+@pytest.mark.parametrize("fname,key,value,line", [
+    ("events.jsonl", "t", "5", 1), ("events.jsonl", "t", True, 1),
+    ("events.jsonl", "t", 1.5, 1), ("events.jsonl", "node", "0", 1),
+    ("events.jsonl", "text", 5, 1),
+    ("manifest.json", "step_minutes", "five", None), ("manifest.json", "step_minutes", 0, None),
+    ("manifest.json", "step_minutes", 2.5, None), ("manifest.json", "speeds", 3, None),
+    ("adjacency.json", "nodes", "abcd", None), ("adjacency.json", "nodes", [1, 2, 3, 4], None),
+    ("adjacency.json", "edges", [[0, "1"]], None), ("adjacency.json", "edges", [0], None),
+    ("adjacency.json", "edges", [[0, True]], None),
+])
+def test_dataset_file_wrong_type_exits_2(pipeline, tmp_path, capsys, fname, key, value, line):
+    code = _predict_on_edited_dataset(pipeline, tmp_path, fname,
+                                      lambda obj: obj.__setitem__(key, value), line)
+    where = [fname, repr(key)] + ([f"line {line}"] if line else [])
+    _assert_one_line_usage_error(code, capsys, *where)

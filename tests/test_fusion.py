@@ -6,6 +6,7 @@ import pytest
 from roadcast.errors import ParameterError
 from roadcast.fusion import (ETA, FilmModulation, GcnBlock, SparseAlign,
                              adaptive_adjacency)
+from roadcast.nn import softmax_backward
 from roadcast.numerics import RngState, sigmoid, softmax_rows, tanh
 
 
@@ -241,6 +242,40 @@ def test_gcn_physical_adjacency_row_normalized():
     gcn = GcnBlock(3, 4, 2, RngState(17), physical_adjacency=adj)
     np.testing.assert_allclose(gcn.a_physical.sum(axis=1), np.ones(3), atol=1e-12)
     assert np.all(np.diag(gcn.a_physical) > 0)  # self-loops added
+
+
+def gcn_einsum_oracle(gcn, x, dout):
+    """GcnBlock's output, dx and e gradient with every node-axis contraction
+    written as an einsum over named indices."""
+    s_mat = gcn.e @ gcn.e.T
+    a_adp = softmax_rows(np.maximum(s_mat, 0.0))
+    a_mix = 0.5 * (a_adp + gcn.a_physical)
+    agg = np.einsum("nm,bsmd->bsnd", a_mix, x)
+    z = agg @ gcn.w.w + gcn.w.b
+    out = np.maximum(z, 0.0) + x
+    dagg = (dout * (z > 0)) @ gcn.w.w.T
+    dx = dout + np.einsum("nm,bsnd->bsmd", a_mix, dagg)
+    da_mix = np.einsum("bsnd,bsmd->nm", dagg, x)
+    ds = softmax_backward(a_adp, 0.5 * da_mix) * (s_mat > 0)
+    return out, dx, (ds + ds.T) @ gcn.e
+
+
+def test_gcn_matches_einsum_oracle():
+    # B, S > 1 and N = 7 with distinct rows; a path graph's row-normalized
+    # adjacency is not symmetric, so a missing transpose of A_mix shows
+    n, d = 7, 5
+    rng = RngState(19)
+    path = np.eye(n, k=1) + np.eye(n, k=-1)
+    gcn = GcnBlock(n, d, 3, rng, physical_adjacency=path)
+    x = rng.normal((2, 3, n, d))
+    dout = rng.normal((2, 3, n, d))
+    gcn.zero_grad()
+    out = gcn.forward(x)
+    dx = gcn.backward(dout)
+    want_out, want_dx, want_de = gcn_einsum_oracle(gcn, x, dout)
+    de = dict(gcn.named_grads())["e"]
+    for got, want in ((out, want_out), (dx, want_dx), (de, want_de)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_gcn_gradients():

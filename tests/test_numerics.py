@@ -33,6 +33,13 @@ def softmax_oracle(row):
     return np.array([v / s for v in e])
 
 
+def softmax_three_temporaries(x):
+    """Max-shifted softmax with a fresh array for each of its three steps."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def topk_oracle(row, k):
     """Pick the k largest by scanning; lower index wins ties."""
     row = list(row)
@@ -84,6 +91,17 @@ def test_softmax_matches_oracle():
     got = softmax_rows(x)
     for i in range(8):
         np.testing.assert_allclose(got[i], softmax_oracle(x[i]), atol=1e-12)
+
+
+def test_softmax_bit_equal_to_three_temporaries_and_input_kept():
+    rng = np.random.default_rng(3)
+    x = 30.0 * rng.normal(size=(4, 2, 9, 13))
+    x[rng.random(x.shape) < 0.3] = -np.inf
+    x[..., 0] = rng.normal(size=x.shape[:-1])  # every row keeps a finite entry
+    before = x.copy()
+    got = softmax_rows(x)
+    assert got.tobytes() == softmax_three_temporaries(before).tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_softmax_large_inputs_stable():
