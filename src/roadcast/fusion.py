@@ -70,7 +70,7 @@ class FilmModulation(Module):
     """x_guided = sigmoid(W_a c) * h_traffic + eta * tanh(W_b c).
 
     alpha/beta are computed per (batch, step) from the aligned text context
-    and broadcast over the node axis when the features are rank 4.
+    and broadcast over the node axis.
     """
 
     def __init__(self, d_model: int, rng: RngState, eta: float = ETA) -> None:
@@ -81,26 +81,18 @@ class FilmModulation(Module):
         self._cache = None
 
     def forward(self, feats: np.ndarray, c_text: np.ndarray) -> np.ndarray:
+        """(feats [B, S, N, D], c_text [B, S, D]) -> [B, S, N, D]."""
         alpha = sigmoid(self.w_alpha.forward(c_text))
         beta = tanh(self.w_beta.forward(c_text))
-        broadcast = feats.ndim == c_text.ndim + 1
-        a = alpha[:, :, None, :] if broadcast else alpha
-        b = beta[:, :, None, :] if broadcast else beta
-        out = a * feats + self.eta * b
-        self._cache = (feats, alpha, beta, broadcast)
-        return out
+        self._cache = (feats, alpha, beta)
+        return alpha[:, :, None, :] * feats + self.eta * beta[:, :, None, :]
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (d_feats, d_c_text)."""
-        feats, alpha, beta, broadcast = self._cache
-        if broadcast:
-            dalpha = (dout * feats).sum(axis=2)
-            dbeta = self.eta * dout.sum(axis=2)
-            dfeats = dout * alpha[:, :, None, :]
-        else:
-            dalpha = dout * feats
-            dbeta = self.eta * dout
-            dfeats = dout * alpha
+        feats, alpha, beta = self._cache
+        dalpha = (dout * feats).sum(axis=2)
+        dbeta = self.eta * dout.sum(axis=2)
+        dfeats = dout * alpha[:, :, None, :]
         dz_a = dalpha * alpha * (1.0 - alpha)
         dz_b = dbeta * (1.0 - beta ** 2)
         dc = self.w_alpha.backward(dz_a) + self.w_beta.backward(dz_b)
@@ -116,12 +108,10 @@ class GcnBlock(Module):
     """
 
     def __init__(self, n_nodes: int, d_model: int, d_embed: int, rng: RngState,
-                 physical_adjacency: Optional[np.ndarray] = None) -> None:
+                 physical_adjacency: np.ndarray) -> None:
         super().__init__()
         self.e = self.add_param("e", rng.normal((n_nodes, d_embed), scale=1.0 / np.sqrt(d_embed)))
         self.w = self.add_child("w", Linear(d_model, d_model, rng, bias=True))
-        if physical_adjacency is None:
-            physical_adjacency = np.zeros((n_nodes, n_nodes))
         with_loops = physical_adjacency + np.eye(n_nodes)
         self.a_physical = with_loops / with_loops.sum(axis=1, keepdims=True)
         self._cache = None

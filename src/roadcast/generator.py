@@ -43,24 +43,22 @@ class RoadImportance(Module):
         self._mask_cache = None
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """x [B, T, N, F] -> (scores [B, T, N, 1], selected mask [B, T, N])."""
+        """x [B, N, F] -> (scores [B, N, 1], selected mask [B, N])."""
         h = self.fc1.forward(x)
         z = self.fc2.forward(relu(h))
         scores = sigmoid(z)
         if self.freeze_masks and self._mask_cache is not None:
             sel = self._mask_cache
         else:
-            sel = topk_mask(scores[..., 0], selection_size(scores.shape[2]))
+            sel = topk_mask(scores[..., 0], selection_size(scores.shape[1]))
             if self.freeze_masks:
                 self._mask_cache = sel
         self._cache = (h, z, scores)
         return scores, sel
 
     def selected_indices(self, scores: np.ndarray) -> List[List[int]]:
-        """Per (b, t) node indices in descending-score order."""
-        n = scores.shape[2]
-        return [list(row) for row in topk_indices(scores[..., 0].reshape(-1, n),
-                                                  selection_size(n))]
+        """Per-sample node indices in descending-score order."""
+        return topk_indices(scores[..., 0], selection_size(scores.shape[1])).tolist()
 
     def backward(self, dscores: np.ndarray) -> np.ndarray:
         h, z, scores = self._cache
@@ -84,23 +82,19 @@ class RoadCrossAttention(Module):
 
     def forward(self, h_text: np.ndarray, x_traffic: np.ndarray,
                 scores: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        """([B,T,L,D], [B,T,N,F], [B,T,N,1], [B,T,N]) -> h_fusion [B,T,L,D]."""
-        b, t, length, d = h_text.shape
-        n = x_traffic.shape[2]
-        hq = h_text.reshape(b * t, length, d)
+        """([B,L,D], [B,N,F], [B,N,1], [B,N]) -> h_fusion [B,L,D]."""
         k_src, mask = self._road_inputs(x_traffic, scores, sel)
-        h_mod = self.attn.forward(hq, k_src, mask)
-        out, g = self._gated(hq, h_mod)
-        self._cache = (x_traffic, scores, hq, h_mod, g, (b, t, length, d, n))
-        return out.reshape(b, t, length, d)
+        h_mod = self.attn.forward(h_text, k_src, mask)
+        out, g = self._gated(h_text, h_mod)
+        self._cache = (x_traffic, h_mod, g)
+        return out
 
     def _road_inputs(self, x_traffic: np.ndarray, scores: np.ndarray,
                      sel: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Importance-weighted roads through ``k_proj`` [B*T, N, D], and the
-        additive mask [B*T, 1, N] that hides unselected roads."""
-        b, t, n = sel.shape
-        k_src = self.k_proj.forward((x_traffic * scores).reshape(b * t, n, -1))
-        return k_src, np.where(sel.reshape(b * t, 1, n) > 0, 0.0, -np.inf)
+        """Importance-weighted roads through ``k_proj`` [B, N, D], and the
+        additive mask [B, 1, 1, N] that hides unselected roads."""
+        k_src = self.k_proj.forward(x_traffic * scores)
+        return k_src, np.where(sel[:, None, None, :] > 0, 0.0, -np.inf)
 
     def _gated(self, hq: np.ndarray, h_mod: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         g = sigmoid(self.gate.forward(np.concatenate([hq, h_mod], axis=-1)))
@@ -108,7 +102,7 @@ class RoadCrossAttention(Module):
 
     def road_keys_values(self, x_traffic: np.ndarray, scores: np.ndarray,
                          sel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The traffic side of `forward` for T = 1: split-head road keys and
+        """The traffic side of `forward`: split-head road keys and
         values [B, h, N, dh] and the selection mask, for `step`."""
         k_src, mask = self._road_inputs(x_traffic, scores, sel)
         return self.attn.keys_values(k_src) + (mask,)
@@ -121,19 +115,11 @@ class RoadCrossAttention(Module):
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (d_h_text, d_scores); traffic features are treated as data."""
-        x_traffic, scores, hq, h_mod, g, (b, t, length, d, n) = self._cache
-        df = dout.reshape(b * t, length, d)
-        dhq = df.copy()
-        dg = df * h_mod
-        dh_mod = df * g
-        dcat = self.gate.backward(dg * g * (1.0 - g))
-        dhq += dcat[..., :d]
-        dh_mod += dcat[..., d:]
-        dq, dk_src = self.attn.backward(dh_mod)
-        dhq += dq
-        dweighted = self.k_proj.backward(dk_src).reshape(b, t, n, -1)
-        dscores = (dweighted * x_traffic).sum(axis=-1, keepdims=True)
-        return dhq.reshape(b, t, length, d), dscores
+        x_traffic, h_mod, g = self._cache
+        dcat = self.gate.backward(dout * h_mod * g * (1.0 - g))
+        dq, dk_src = self.attn.backward(dout * g + dcat[..., self.d:])
+        dscores = (self.k_proj.backward(dk_src) * x_traffic).sum(axis=-1, keepdims=True)
+        return dout + dcat[..., :self.d] + dq, dscores
 
 
 class MemoryRead(Module):
@@ -221,32 +207,26 @@ class ReportGenerator(Module):
         self.memory = self.add_child("memory", MemoryRead(d_model, n_slots, heads, rng))
         self.memory_norm = self.add_child("memory_norm", LayerNorm(d_model))
         self.lm_head = self.add_child("lm_head", Linear(d_model, vocab_size, rng, bias=True))
-        self._cache = None
 
     def forward(self, tokens: np.ndarray, x_traffic: np.ndarray) -> np.ndarray:
-        """(tokens [B, Ld], traffic [B, T, N, F]) -> logits [B, Ld, V]."""
+        """(tokens [B, Ld], traffic [B, N, F]) -> logits [B, Ld, V]."""
         tokens = np.asarray(tokens, dtype=np.int64)
         b, length = tokens.shape
         h = self.embed.forward(tokens) + sinusoidal_positions(length, self.embed.w.shape[1])
         mask = causal_mask(length)
         for blk, norm in zip(self.blocks, self.block_norms):
             h = norm.forward(h + blk.forward(h, h, mask))
-        used_xattn = False
         if self.use_xattn:
             scores, sel = self._road_selection(x_traffic)
-            h4 = h[:, None, :, :]  # T = 1 report per sample
-            fus = self.xattn.forward(h4, x_traffic, scores, sel)
-            h = self.xattn_norm.forward(fus[:, 0])
-            used_xattn = True
-        self._cache = used_xattn
+            h = self.xattn_norm.forward(self.xattn.forward(h, x_traffic, scores, sel))
         return self._head(h)
 
     def _road_selection(self, x_traffic: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Importance scores [B, T, N, 1] and selection [B, T, N]; all roads at
+        """Importance scores [B, N, 1] and selection [B, N]; all roads at
         weight 1 when the importance filter is off."""
         if self.use_importance:
             return self.importance.forward(x_traffic)
-        return np.ones(x_traffic.shape[:3] + (1,)), np.ones(x_traffic.shape[:3])
+        return np.ones(x_traffic.shape[:2] + (1,)), np.ones(x_traffic.shape[:2])
 
     def _head(self, h: np.ndarray) -> np.ndarray:
         """Memory read (if on) and the language-model head: [B, L, D] -> logits [B, L, V]."""
@@ -255,14 +235,11 @@ class ReportGenerator(Module):
         return self.lm_head.forward(h)
 
     def backward(self, dlogits: np.ndarray) -> None:
-        used_xattn = self._cache
         dh = self.lm_head.backward(dlogits)
         if self.use_memory:
             dh = self.memory.backward(self.memory_norm.backward(dh))
-        if used_xattn:
-            dfus = self.xattn_norm.backward(dh)
-            dh4, dscores = self.xattn.backward(dfus[:, None, :, :])
-            dh = dh4[:, 0]
+        if self.use_xattn:
+            dh, dscores = self.xattn.backward(self.xattn_norm.backward(dh))
             if self.use_importance:
                 self.importance.backward(dscores)
         for blk, norm in zip(reversed(self.blocks), reversed(self.block_norms)):

@@ -128,9 +128,9 @@ class JointModel(Module):
 
     @staticmethod
     def conditioning(traffic_window: np.ndarray) -> np.ndarray:
-        """[B, t, N, C] future window -> [B, 1, N, t*C] per-node features."""
+        """[B, t, N, C] future window -> [B, N, t*C] per-node features."""
         b, t, n, c = traffic_window.shape
-        return traffic_window.transpose(0, 2, 1, 3).reshape(b, n, t * c)[:, None]
+        return traffic_window.transpose(0, 2, 1, 3).reshape(b, n, t * c)
 
     def forward_generate(self, tokens: np.ndarray, traffic_window: np.ndarray) -> np.ndarray:
         return self.generator.forward(tokens, self.conditioning(traffic_window))

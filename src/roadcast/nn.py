@@ -219,13 +219,12 @@ class LayerNorm(Module):
 class Conv1dSame(Module):
     """Same-padded 1D convolution over [..., L, d_in]; weight [k, d_in, d_out]."""
 
-    def __init__(self, d_in: int, d_out: int, kernel: int, rng: RngState, bias: bool = False) -> None:
+    def __init__(self, d_in: int, d_out: int, kernel: int, rng: RngState) -> None:
         super().__init__()
         assert kernel % 2 == 1, "same padding assumes odd kernel"
         self.d_in, self.d_out, self.k = d_in, d_out, kernel
         self.w = self.add_param("w", rng.normal((kernel, d_in, d_out),
                                                 scale=1.0 / np.sqrt(kernel * d_in)))
-        self.b = self.add_param("b", np.zeros(d_out)) if bias else None
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -235,8 +234,6 @@ class Conv1dSame(Module):
         out = np.zeros((b, length, self.d_out))
         for j in range(self.k):
             out += xp[:, j:j + length, :] @ self.w[j]
-        if self.b is not None:
-            out += self.b
         self._cache = (xp, length)
         return out
 
@@ -249,8 +246,6 @@ class Conv1dSame(Module):
             seg = xp[:, j:j + length, :].reshape(-1, self.d_in)
             self._grads["w"][j] += seg.T @ dyf
             dxp[:, j:j + length, :] += dy @ self.w[j].T
-        if self.b is not None:
-            self._grads["b"] += dyf.sum(axis=0)
         return dxp[:, pad:pad + length, :]
 
 
@@ -348,7 +343,7 @@ class MultiHeadAttention(Module):
         scores = q @ k.transpose(0, 1, 3, 2)
         scores /= np.sqrt(self.dh)
         if mask is not None:
-            scores = scores + mask[..., None, :, :] if mask.ndim == 3 else scores + mask
+            scores += mask
         p = softmax_rows(scores)
         return self.wo.forward(merge_heads(p @ v)), p
 

@@ -73,23 +73,23 @@ def check_road_xattn_masked_dense(seed: int = 0, tol: float = 1e-12) -> List[str
     from .generator import RoadCrossAttention, RoadImportance
 
     rng = RngState(seed)
-    b, t, length, n, f, d, heads = 1, 1, 4, 6, 5, 8, 2
+    b, length, n, f, d, heads = 1, 4, 6, 5, 8, 2
     imp = RoadImportance(f, 4, rng)
     xatt = RoadCrossAttention(f, d, heads, rng)
-    x_traffic = rng.normal((b, t, n, f))
-    h_text = rng.normal((b, t, length, d))
+    x_traffic = rng.normal((b, n, f))
+    h_text = rng.normal((b, length, d))
     scores, sel = imp.forward(x_traffic)
-    got = xatt.forward(h_text, x_traffic, scores, sel)[0, 0]
+    got = xatt.forward(h_text, x_traffic, scores, sel)[0]
 
     # dense oracle: full attention with -inf scores on unselected nodes
-    k_src = (x_traffic * scores)[0, 0] @ xatt.k_proj.w + xatt.k_proj.b
-    mask_row = np.where(sel[0, 0] > 0, 0.0, -np.inf)
+    k_src = (x_traffic * scores)[0] @ xatt.k_proj.w + xatt.k_proj.b
+    mask_row = np.where(sel[0] > 0, 0.0, -np.inf)
     mask = np.tile(mask_row, (length, 1))
-    h_mod = _naive_mhsa(h_text[0, 0], k_src, xatt.attn.wq.w, xatt.attn.wk.w,
+    h_mod = _naive_mhsa(h_text[0], k_src, xatt.attn.wq.w, xatt.attn.wk.w,
                         xatt.attn.wv.w, xatt.attn.wo.w, heads, mask)
-    gate_in = np.concatenate([h_text[0, 0], h_mod], axis=-1)
+    gate_in = np.concatenate([h_text[0], h_mod], axis=-1)
     g = 1.0 / (1.0 + np.exp(-(gate_in @ xatt.gate.w + xatt.gate.b)))
-    want = h_text[0, 0] + g * h_mod
+    want = h_text[0] + g * h_mod
     diff = float(np.max(np.abs(got - want)))
     return [] if diff < tol else [f"road_cross_attention vs masked-dense oracle: diff {diff:.3g}"]
 

@@ -112,8 +112,8 @@ def test_film_zero_context_exactly_halves():
 def test_film_matches_formula():
     rng = RngState(6)
     film = FilmModulation(5, rng)
-    feats = rng.normal((1, 3, 5))
-    c = rng.normal((1, 3, 5))
+    feats = rng.normal((1, 1, 3, 5))
+    c = rng.normal((1, 1, 5))
     alpha = sigmoid(c @ film.w_alpha.w)
     beta = tanh(c @ film.w_beta.w)
     np.testing.assert_allclose(film.forward(feats, c), alpha * feats + ETA * beta,
@@ -154,10 +154,10 @@ def test_film_monotone_alpha_through_identity():
     c_lo = np.zeros((1, 1, 3))
     c_hi = np.zeros((1, 1, 3))
     c_hi[0, 0, 1] = 1.0
-    feats = np.ones((1, 1, 3))
+    feats = np.ones((1, 1, 1, 3))
     lo = film.forward(feats, c_lo)
     hi = film.forward(feats, c_hi)
-    assert hi[0, 0, 1] > lo[0, 0, 1]
+    assert hi[0, 0, 0, 1] > lo[0, 0, 0, 1]
 
 
 def test_film_gradients_broadcast_case():
@@ -203,7 +203,7 @@ def test_film_gradients_broadcast_case():
 
 def test_gcn_identity_adjacency_doubles_nonnegative_input():
     n = 3
-    gcn = GcnBlock(n, 4, 2, RngState(12))
+    gcn = GcnBlock(n, 4, 2, RngState(12), physical_adjacency=np.zeros((n, n)))
     # force A_mix = I: huge diagonal embedding affinity and identity physical
     gcn.e[...] = 10.0 * np.eye(n)[:, :2]
     gcn.a_physical = np.eye(n)
@@ -232,7 +232,7 @@ def test_gcn_two_node_uniform_hand_aggregation():
 
 
 def test_gcn_shape_preserved():
-    gcn = GcnBlock(5, 6, 3, RngState(15))
+    gcn = GcnBlock(5, 6, 3, RngState(15), physical_adjacency=np.zeros((5, 5)))
     x = RngState(16).normal((2, 4, 5, 6))
     assert gcn.forward(x).shape == x.shape
 

@@ -23,29 +23,29 @@ def test_selection_size_exact_ceil():
 def test_importance_selects_exactly_k_with_ties_to_lower_index():
     imp = RoadImportance(4, 3, RngState(0))
     imp.fc2.w[...] = 0.0  # every road scores sigmoid(bias): all tied
-    _, sel = imp.forward(RngState(1).normal((1, 1, 5, 4)))
+    _, sel = imp.forward(RngState(1).normal((1, 5, 4)))
     assert sel.sum() == selection_size(5)
-    np.testing.assert_array_equal(sel[0, 0], [1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(sel[0], [1, 1, 0, 0, 0])
 
 
 def test_importance_selected_indices_descending():
     imp = RoadImportance(4, 3, RngState(1))
-    scores = np.array([0.1, 0.9, 0.4, 0.9, 0.2]).reshape(1, 1, 5, 1)
+    scores = np.array([0.1, 0.9, 0.4, 0.9, 0.2]).reshape(1, 5, 1)
     idx = imp.selected_indices(scores)
     assert idx == [[1, 3]]  # tie between nodes 1 and 3 -> lower first
 
 
 def test_importance_scores_in_unit_interval():
     imp = RoadImportance(4, 3, RngState(2))
-    scores, sel = imp.forward(RngState(3).normal((2, 1, 7, 4)))
-    assert scores.shape == (2, 1, 7, 1)
+    scores, sel = imp.forward(RngState(3).normal((2, 7, 4)))
+    assert scores.shape == (2, 7, 1)
     assert np.all((scores > 0) & (scores < 1))
     assert np.all(sel.sum(axis=-1) == selection_size(7))
 
 
 def test_importance_mask_cache_under_freeze():
     imp = RoadImportance(4, 3, RngState(4))
-    x = RngState(5).normal((1, 1, 6, 4))
+    x = RngState(5).normal((1, 6, 4))
     imp.set_freeze_masks(True)
     _, sel1 = imp.forward(x)
     # perturbing input must not change the frozen mask
@@ -56,8 +56,8 @@ def test_importance_mask_cache_under_freeze():
 
 def test_importance_gradients():
     imp = RoadImportance(3, 4, RngState(6))
-    x = RngState(7).normal((1, 1, 5, 3))
-    w = RngState(8).normal((1, 1, 5, 1))
+    x = RngState(7).normal((1, 5, 3))
+    w = RngState(8).normal((1, 5, 1))
 
     def loss():
         scores, _ = imp.forward(x)
@@ -96,14 +96,13 @@ def test_importance_gradients():
 def masked_dense_xattn_oracle(xa, h_text, x_traffic, scores, sel):
     """Dense reimplementation: project importance-weighted roads, run full
     attention with -inf on unselected roads, gate, residual."""
-    b, t, length, d = h_text.shape
-    n = x_traffic.shape[2]
-    hq = h_text.reshape(b * t, length, d)
-    k_src = (x_traffic * scores).reshape(b * t, n, -1) @ xa.k_proj.w + xa.k_proj.b
+    b, length, d = h_text.shape
+    hq = h_text
+    k_src = (x_traffic * scores) @ xa.k_proj.w + xa.k_proj.b
     attn = xa.attn
     heads, dh = attn.h, attn.dh
     out = np.zeros_like(hq)
-    for bi in range(b * t):
+    for bi in range(b):
         q = hq[bi] @ attn.wq.w
         k = k_src[bi] @ attn.wk.w
         v = k_src[bi] @ attn.wv.w
@@ -113,20 +112,20 @@ def masked_dense_xattn_oracle(xa, h_text, x_traffic, scores, sel):
             ks = k[:, hd * dh:(hd + 1) * dh]
             vs = v[:, hd * dh:(hd + 1) * dh]
             logits = qs @ ks.T / np.sqrt(dh)
-            logits = logits + np.where(sel.reshape(b * t, n)[bi] > 0, 0.0, -np.inf)
+            logits = logits + np.where(sel[bi] > 0, 0.0, -np.inf)
             p = softmax_rows(logits)
             ctx[:, hd * dh:(hd + 1) * dh] = p @ vs
         h_mod = ctx @ attn.wo.w
         g = sigmoid(np.concatenate([hq[bi], h_mod], axis=-1) @ xa.gate.w + xa.gate.b)
         out[bi] = hq[bi] + g * h_mod
-    return out.reshape(b, t, length, d)
+    return out
 
 
 def test_xattn_matches_masked_dense_oracle():
     rng = RngState(10)
     xa = RoadCrossAttention(3, 8, 2, rng)
-    h_text = rng.normal((2, 1, 5, 8))
-    x_traffic = rng.normal((2, 1, 6, 3))
+    h_text = rng.normal((2, 5, 8))
+    x_traffic = rng.normal((2, 6, 3))
     imp = RoadImportance(3, 4, RngState(11))
     scores, sel = imp.forward(x_traffic)
     got = xa.forward(h_text, x_traffic, scores, sel)
@@ -137,14 +136,14 @@ def test_xattn_matches_masked_dense_oracle():
 def test_xattn_unselected_roads_do_not_influence_output():
     rng = RngState(12)
     xa = RoadCrossAttention(3, 8, 2, rng)
-    h_text = rng.normal((1, 1, 4, 8))
-    x_traffic = rng.normal((1, 1, 6, 3))
-    scores = np.full((1, 1, 6, 1), 0.5)
-    sel = np.zeros((1, 1, 6))
-    sel[0, 0, :2] = 1.0
+    h_text = rng.normal((1, 4, 8))
+    x_traffic = rng.normal((1, 6, 3))
+    scores = np.full((1, 6, 1), 0.5)
+    sel = np.zeros((1, 6))
+    sel[0, :2] = 1.0
     base = xa.forward(h_text, x_traffic, scores, sel)
     perturbed = x_traffic.copy()
-    perturbed[0, 0, 3:] += 100.0  # unselected roads
+    perturbed[0, 3:] += 100.0  # unselected roads
     again = xa.forward(h_text, perturbed, scores, sel)
     np.testing.assert_allclose(again, base, atol=1e-12)
 
@@ -152,11 +151,11 @@ def test_xattn_unselected_roads_do_not_influence_output():
 def test_xattn_gradients():
     rng = RngState(13)
     xa = RoadCrossAttention(2, 4, 2, rng)
-    h_text = rng.normal((1, 1, 3, 4))
-    x_traffic = rng.normal((1, 1, 4, 2))
-    scores = np.abs(rng.normal((1, 1, 4, 1))) + 0.1
-    sel = np.ones((1, 1, 4))
-    w = rng.normal((1, 1, 3, 4))
+    h_text = rng.normal((1, 3, 4))
+    x_traffic = rng.normal((1, 4, 2))
+    scores = np.abs(rng.normal((1, 4, 1))) + 0.1
+    sel = np.ones((1, 4))
+    w = rng.normal((1, 3, 4))
 
     def loss():
         return float((xa.forward(h_text, x_traffic, scores, sel) * w).sum())
@@ -263,13 +262,13 @@ def test_lora_apply_formula():
 def test_generator_logits_shape():
     gen = make_generator()
     tokens = np.array([[BOS, 4, 5, 6]])
-    traffic = RngState(21).normal((1, 1, 5, 3))
+    traffic = RngState(21).normal((1, 5, 3))
     assert gen.forward(tokens, traffic).shape == (1, 4, 12)
 
 
 def test_generator_decoder_causality():
     gen = make_generator(seed=22)
-    traffic = RngState(23).normal((1, 1, 5, 3))
+    traffic = RngState(23).normal((1, 5, 3))
     rng = np.random.default_rng(5)
     for _ in range(3):
         tokens = rng.integers(3, 12, size=(1, 6))
@@ -284,16 +283,16 @@ def test_generator_decoder_causality():
 def test_generator_traffic_conditions_output():
     gen = make_generator(seed=24)
     tokens = np.array([[BOS, 4, 5]])
-    out1 = gen.forward(tokens, RngState(25).normal((1, 1, 5, 3)))
-    out2 = gen.forward(tokens, RngState(26).normal((1, 1, 5, 3)))
+    out1 = gen.forward(tokens, RngState(25).normal((1, 5, 3)))
+    out2 = gen.forward(tokens, RngState(26).normal((1, 5, 3)))
     assert not np.allclose(out1, out2)
 
 
 def test_generator_no_xattn_ignores_traffic():
     gen = make_generator(seed=27, use_xattn=False)
     tokens = np.array([[BOS, 4, 5]])
-    out1 = gen.forward(tokens, RngState(28).normal((1, 1, 5, 3)))
-    out2 = gen.forward(tokens, RngState(29).normal((1, 1, 5, 3)))
+    out1 = gen.forward(tokens, RngState(28).normal((1, 5, 3)))
+    out2 = gen.forward(tokens, RngState(29).normal((1, 5, 3)))
     np.testing.assert_array_equal(out1, out2)
 
 
@@ -310,7 +309,7 @@ def test_generator_lora_zero_init_bitwise_inert():
 def test_generator_frozen_base_accumulates_no_grads():
     gen = make_generator(seed=32)
     tokens = np.array([[BOS, 4, 5]])
-    traffic = RngState(33).normal((1, 1, 5, 3))
+    traffic = RngState(33).normal((1, 5, 3))
     gen.zero_grad()
     logits = gen.forward(tokens, traffic)
     gen.backward(np.ones_like(logits))
@@ -327,7 +326,7 @@ def test_generator_frozen_base_accumulates_no_grads():
 def test_generator_gradients_full_stack():
     gen = make_generator(seed=34)
     tokens = np.array([[BOS, 4, 5, 6]])
-    traffic = RngState(35).normal((1, 1, 4, 3))
+    traffic = RngState(35).normal((1, 4, 3))
     w = RngState(36).normal((1, 4, 12))
     gen.set_freeze_masks(True)
 
@@ -358,7 +357,7 @@ def test_generator_gradients_full_stack():
 
 def test_greedy_decode_starts_bos_stops_eos_or_maxlen():
     gen = make_generator(seed=37)
-    traffic = RngState(38).normal((2, 1, 5, 3))
+    traffic = RngState(38).normal((2, 5, 3))
     seqs = gen.greedy_decode(traffic, max_len=10)
     assert len(seqs) == 2
     for s in seqs:
@@ -370,7 +369,7 @@ def test_greedy_decode_starts_bos_stops_eos_or_maxlen():
 
 def test_greedy_decode_deterministic():
     gen = make_generator(seed=39)
-    traffic = RngState(40).normal((1, 1, 5, 3))
+    traffic = RngState(40).normal((1, 5, 3))
     assert gen.greedy_decode(traffic, 8) == gen.greedy_decode(traffic, 8)
 
 
@@ -410,7 +409,7 @@ def cached_decode(gen, x_traffic, max_len):
                          list(itertools.product((True, False), repeat=3)))
 def test_cached_decode_matches_full_recompute_oracle(use_importance, use_xattn, use_memory):
     max_len = 9
-    traffic = 3.0 * RngState(43).normal((6, 1, 5, 3))
+    traffic = 3.0 * RngState(43).normal((6, 5, 3))
     ended = {"early": False, "at_max_len": False, "both_in_one_batch": False}
     # raising EOS's logit makes rows stop before max_len
     for eos_shift in (0.0, 1.5):

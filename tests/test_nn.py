@@ -215,7 +215,7 @@ def test_conv1d_same_preserves_length():
 
 def test_conv1d_gradients():
     rng = RngState(14)
-    conv = Conv1dSame(3, 2, kernel=3, rng=rng, bias=True)
+    conv = Conv1dSame(3, 2, kernel=3, rng=rng)
     fd_check(conv, rng.normal((2, 5, 3)))
 
 
