@@ -13,8 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import generate_synthetic, load_dataset, save_dataset
-from .errors import DivergenceError, RoadcastError
+from .dataset import (generate_synthetic, load_dataset, require_fields, require_int,
+                      require_keys, save_dataset)
+from .errors import DivergenceError, ParseError, RoadcastError
 from .metrics import validate_report
 from .model import COMPONENTS, JointModel, ModelConfig
 from .training import (TrainConfig, evaluate, forecast_batches, load_checkpoint,
@@ -30,11 +31,34 @@ EXIT_UNKNOWN = 64
 
 ABLATE_FLAGS = {f"no-{name}": {f"use_{name}": False} for name in COMPONENTS}
 
+CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
+
+
+def _read_config(path) -> dict:
+    """The ``--config`` file: an object of ``model``/``train`` sections whose
+    keys are fields of the section's dataclass, with values of the field's
+    type and ``epochs`` >= 1. ParseError naming the file and the key otherwise."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path}: {err}")
+    require_keys(raw, (), path)
+    for section, values in raw.items():
+        if section not in CONFIG_SECTIONS:
+            raise ParseError(f"{path}: unknown section {section!r}; expected 'model' or 'train'")
+        where = f"{path}: section {section!r}"
+        require_fields(values, CONFIG_SECTIONS[section], where)
+        known = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[section])}
+        for key in values:
+            if key not in known:
+                raise ParseError(f"{where}: unknown key {key!r}")
+    if "epochs" in raw.get("train", {}):
+        require_int(raw["train"], "epochs", f"{path}: section 'train'", low=1)
+    return raw
+
 
 def _load_configs(config_path, overrides) -> tuple:
-    raw = {}
-    if config_path:
-        raw = json.loads(Path(config_path).read_text())
+    raw = _read_config(config_path) if config_path else {}
     model_cfg = ModelConfig.from_dict(raw.get("model", {}))
     train_raw = dict(raw.get("train", {}))
     for key, val in overrides.items():

@@ -7,6 +7,7 @@ annotations, so real files with the same layout can be dropped in unchanged.
 from __future__ import annotations
 
 import json
+import typing
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -293,6 +294,26 @@ def require_int(obj: dict, key: str, where: str, low: Optional[int] = None) -> i
         expected = "an integer" if low is None else f"an integer >= {low}"
         raise ParseError(f"{where}: key {key!r} must be {expected}, got {value!r}")
     return value
+
+
+def require_fields(obj, cls, where: str) -> dict:
+    """``obj`` as a JSON object whose keys that name fields of dataclass ``cls``
+    hold values of the field's type: a bool fits only a bool field, an int
+    also fits a float field, and null fits an Optional one. Other keys pass."""
+    require_keys(obj, (), where)
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        if key not in hints:
+            continue
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if isinstance(value, bool):
+            fits = bool in allowed
+        else:
+            fits = isinstance(value, allowed + ((int,) if float in allowed else ()))
+        if not fits:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ParseError(f"{where}: key {key!r} must be {names}, got {value!r}")
+    return obj
 
 
 def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:

@@ -14,8 +14,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph, Sample,
-                      TrafficSeries, denormalize, fit_norm_stats, require_keys,
-                      split_temporal, windowize, z_normalize)
+                      TrafficSeries, denormalize, fit_norm_stats, require_fields,
+                      require_int, require_keys, split_temporal, windowize,
+                      z_normalize)
 from .errors import DivergenceError, ParameterError, ParseError
 from .metrics import MetricReport, evaluate_run
 from .model import COMPONENTS, JointModel, ModelConfig
@@ -40,6 +41,8 @@ class TrainConfig:
             raise ParameterError(f"lr {self.lr} must be positive")
         if self.batch < 1:
             raise ParameterError(f"batch {self.batch} must be >= 1")
+        if self.epochs < 1:
+            raise ParameterError(f"epochs {self.epochs} must be >= 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -253,19 +256,29 @@ def train(model: JointModel, train_samples: Sequence[Sample], cfg: TrainConfig,
     return trace
 
 
-def train_step(model: JointModel, opt: Adam, batch: Dict[str, np.ndarray],
-               cfg: TrainConfig, lr: float) -> float:
+def forward_backward(model: JointModel, batch: Dict[str, np.ndarray],
+                     lambda_text: float) -> float:
+    """Zero the gradients, run both forwards and the joint loss, then both
+    backwards; returns the loss. A non-finite loss raises before any backward."""
     model.zero_grad()
     y_hat = model.forward_predict(batch["x_hist"], batch["text_hist"])
     tokens_in = batch["text_future"][:, :-1]
     targets = batch["text_future"][:, 1:]
     logits = model.forward_generate(tokens_in, batch["y_future"])  # teacher forcing
-    loss, dy, dlogits = joint_loss(y_hat, batch["y_future"], logits, targets,
-                                   cfg.lambda_text)
+    loss, dy, dlogits = joint_loss(y_hat, batch["y_future"], logits, targets, lambda_text)
     if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite loss {loss} at lr {lr}")
+        raise DivergenceError(f"non-finite loss {loss}")
     model.backward_predict(dy)
     model.backward_generate(dlogits)
+    return loss
+
+
+def train_step(model: JointModel, opt: Adam, batch: Dict[str, np.ndarray],
+               cfg: TrainConfig, lr: float) -> float:
+    try:
+        loss = forward_backward(model, batch, cfg.lambda_text)
+    except DivergenceError as err:
+        raise DivergenceError(f"{err} at lr {lr}") from None
     opt.step(model.grad_dict(), lr)
     return loss
 
@@ -350,15 +363,32 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
         raise ParseError(f"missing manifest.json under {src}")
     except json.JSONDecodeError as err:
         raise ParseError(f"manifest.json: {err}")
+    where = str(manifest_path)
     require_keys(manifest, ("config", "vocab_words", "norm_stats", "physical_adjacency",
-                            "n_nodes", "seed", "tensors", "total_bytes"), str(manifest_path))
-    cfg = ModelConfig.from_dict(manifest["config"])
-    vocab = Vocab(id_to_word=manifest["vocab_words"][4:])
-    stats = NormStats.from_dict(manifest["norm_stats"])
-    a_hat = np.asarray(manifest["physical_adjacency"])
+                            "n_nodes", "seed", "tensors", "total_bytes"), where)
+    n = require_int(manifest, "n_nodes", where, low=1)
+    seed = require_int(manifest, "seed", where)
+    cfg = ModelConfig.from_dict(require_fields(manifest["config"], ModelConfig,
+                                               f"{where} key 'config'"))
+    words = manifest["vocab_words"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ParseError(f"{where}: key 'vocab_words' must be a list of strings")
+    vocab = Vocab(id_to_word=words[4:])
+    norm_where = f"{where} key 'norm_stats'"
+    require_keys(manifest["norm_stats"], ("mean", "std"), norm_where)
+    stats = NormStats(mean=_number_array(manifest["norm_stats"], "mean", (n, 1), norm_where),
+                      std=_number_array(manifest["norm_stats"], "std", (n, 1), norm_where))
+    a_hat = _number_array(manifest, "physical_adjacency", (n, n), where)
+    if not isinstance(manifest["tensors"], list):
+        raise ParseError(f"{where}: key 'tensors' must be a list")
+    for i, entry in enumerate(manifest["tensors"]):
+        require_keys(entry, ("name", "shape", "offset"), f"{where} tensor {i}")
+        require_int(entry, "offset", f"{where} tensor {i}", low=0)
+        if not isinstance(entry["name"], str):
+            raise ParseError(f"{where} tensor {i}: key 'name' must be a string")
     # a_physical already includes self-loop normalization; rebuild then overwrite
-    model = JointModel(cfg, vocab_size=len(vocab), n_nodes=manifest["n_nodes"],
-                       physical_adjacency=np.zeros_like(a_hat), seed=manifest["seed"])
+    model = JointModel(cfg, vocab_size=len(vocab), n_nodes=n,
+                       physical_adjacency=np.zeros_like(a_hat), seed=seed)
     model.gcn.a_physical = a_hat
     raw = bin_path.read_bytes()
     params = model.param_dict()
@@ -382,6 +412,18 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
         raise ParseError(f"{bin_path}: {len(raw)} bytes, {manifest_path.name} total_bytes is "
                          f"{manifest['total_bytes']}")
     return model, vocab, stats, manifest
+
+
+def _number_array(obj: dict, key: str, shape: Tuple[int, ...], where: str) -> np.ndarray:
+    """``obj[key]`` as a float64 array; ParseError unless it nests numbers in ``shape``."""
+    try:
+        arr = np.asarray(obj[key])
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ParseError(f"{where}: key {key!r} must be a "
+                         f"{'x'.join(map(str, shape))} array of numbers")
+    return arr.astype(np.float64)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

@@ -16,7 +16,7 @@ from .model import JointModel, ModelConfig
 from .nn import MultiHeadAttention
 from .numerics import RngState, softmax_rows
 from .tokenizer import BOS, EOS, PAD
-from .training import grad_check, joint_loss
+from .training import forward_backward, grad_check
 
 
 def _naive_attention(q, k, v, mask=None):
@@ -132,13 +132,7 @@ def probe_model(seed: int) -> tuple:
 def joint_loss_fn(model: JointModel, batch: dict, lambda_text: float = 0.5,
                   corrupt: Optional[Callable] = None) -> Callable[[], float]:
     def loss_fn() -> float:
-        model.zero_grad()
-        y_hat = model.forward_predict(batch["x_hist"], batch["text_hist"])
-        logits = model.forward_generate(batch["text_future"][:, :-1], batch["y_future"])
-        loss, dy, dlogits = joint_loss(y_hat, batch["y_future"], logits,
-                                       batch["text_future"][:, 1:], lambda_text)
-        model.backward_predict(dy)
-        model.backward_generate(dlogits)
+        loss = forward_backward(model, batch, lambda_text)
         if corrupt is not None:
             corrupt(model)
         return loss

@@ -105,6 +105,23 @@ def test_bad_config_json_exits_2(pipeline, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("config,needle", [
+    ({"train": {"lr": "0.1"}}, "'lr'"), ({"model": {"heads": "2"}}, "'heads'"),
+    ({"train": {"epochs": 0}}, "'epochs'"), ({"train": {"epochs": True}}, "'epochs'"),
+    ({"model": {"use_gcn": 1}}, "'use_gcn'"), ({"model": {"top_k": 2.5}}, "'top_k'"),
+    ({"model": {"d_modle": 64}}, "'d_modle'"), ({"optim": {"lr": 0.1}}, "'optim'"),
+    ({"model": [1]}, "'model'"), ([1], "list"),
+])
+def test_bad_config_file_exits_2(pipeline, tmp_path, capsys, config, needle):
+    _, data, _, _ = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code = main(["train", "--data", str(data), "--config", str(bad),
+                 "--out", str(tmp_path / "ckpt")])
+    _assert_one_line_usage_error(code, capsys, str(bad), needle)
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_unknown_ablation_flag_exits_2(pipeline, tmp_path):
     _, data, _, cfg = pipeline
     code = main(["train", "--data", str(data), "--config", str(cfg),
@@ -258,6 +275,33 @@ def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key
     _drop_key(bad / "manifest.json", key)
     code = main(["describe", "--ckpt", str(bad), "--data", str(data),
                  "--out", str(tmp_path / "reports.jsonl")])
+    _assert_one_line_usage_error(code, capsys, str(bad / "manifest.json"), repr(key))
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda m: m.update(n_nodes="4"), "n_nodes"), (lambda m: m.update(n_nodes=0), "n_nodes"),
+    (lambda m: m.update(seed=1.5), "seed"), (lambda m: m.update(config=[1]), "config"),
+    (lambda m: m["config"].update(d_model="8"), "d_model"),
+    (lambda m: m.update(norm_stats=[1]), "norm_stats"),
+    (lambda m: m["norm_stats"].pop("std"), "std"),
+    (lambda m: m["norm_stats"].update(mean=[[0.0]]), "mean"),
+    (lambda m: m.update(vocab_words=5), "vocab_words"),
+    (lambda m: m.update(physical_adjacency=[[1.0]]), "physical_adjacency"),
+    (lambda m: m.update(tensors={}), "tensors"),
+    (lambda m: m["tensors"][0].pop("offset"), "offset"),
+    (lambda m: m["tensors"][0].update(offset="0"), "offset"),
+    (lambda m: m["tensors"][0].update(name=[1]), "name"),
+], ids=["n_nodes-str", "n_nodes-0", "seed-float", "config-list", "config-field-type",
+        "norm_stats-list", "norm_stats-no-std", "norm_stats-shape", "vocab_words-int",
+        "adjacency-1x1", "tensors-object", "tensor-no-offset", "tensor-offset-str",
+        "tensor-name-list"])
+def test_checkpoint_manifest_bad_value_exits_2(pipeline, tmp_path, capsys, edit, key):
+    _, data, ckpt, _ = pipeline
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    _edit_json(bad / "manifest.json", edit)
+    code = main(["predict", "--ckpt", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "fc.csv")])
     _assert_one_line_usage_error(code, capsys, str(bad / "manifest.json"), repr(key))
 
 
