@@ -196,10 +196,10 @@ class LayerNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = np.mean(xc * xc, axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
-        normed = (x - mean) * inv
+        normed = xc * inv
         self._cache = (normed, inv)
         return normed * self.g + self.b
 
