@@ -196,10 +196,9 @@ class LayerNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xc = x - x.mean(axis=-1, keepdims=True)
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        normed = xc * inv
+        normed = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.mean(normed * normed, axis=-1, keepdims=True) + self.eps)
+        normed *= inv
         self._cache = (normed, inv)
         return normed * self.g + self.b
 

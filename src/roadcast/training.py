@@ -382,10 +382,13 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
     if not isinstance(manifest["tensors"], list):
         raise ParseError(f"{where}: key 'tensors' must be a list")
     for i, entry in enumerate(manifest["tensors"]):
-        require_keys(entry, ("name", "shape", "offset"), f"{where} tensor {i}")
-        require_int(entry, "offset", f"{where} tensor {i}", low=0)
+        at = f"{where} tensor {i}"
+        require_keys(entry, ("name", "shape", "offset"), at)
+        require_int(entry, "offset", at, low=0)
         if not isinstance(entry["name"], str):
-            raise ParseError(f"{where} tensor {i}: key 'name' must be a string")
+            raise ParseError(f"{at}: key 'name' must be a string")
+        if not isinstance(entry["shape"], list) or any(type(s) is not int for s in entry["shape"]):
+            raise ParseError(f"{at}: key 'shape' must be a list of integers")
     # a_physical already includes self-loop normalization; rebuild then overwrite
     model = JointModel(cfg, vocab_size=len(vocab), n_nodes=n,
                        physical_adjacency=np.zeros_like(a_hat), seed=seed)

@@ -291,10 +291,12 @@ def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key
     (lambda m: m["tensors"][0].pop("offset"), "offset"),
     (lambda m: m["tensors"][0].update(offset="0"), "offset"),
     (lambda m: m["tensors"][0].update(name=[1]), "name"),
+    (lambda m: m["tensors"][0].update(shape=[float(s) for s in m["tensors"][0]["shape"]]),
+     "shape"),
 ], ids=["n_nodes-str", "n_nodes-0", "seed-float", "config-list", "config-field-type",
         "norm_stats-list", "norm_stats-no-std", "norm_stats-shape", "vocab_words-int",
         "adjacency-1x1", "tensors-object", "tensor-no-offset", "tensor-offset-str",
-        "tensor-name-list"])
+        "tensor-name-list", "tensor-shape-floats"])
 def test_checkpoint_manifest_bad_value_exits_2(pipeline, tmp_path, capsys, edit, key):
     _, data, ckpt, _ = pipeline
     bad = tmp_path / "ckpt"
