@@ -97,13 +97,12 @@ def masked_dense_xattn_oracle(xa, h_text, x_traffic, scores, sel):
     """Dense reimplementation: project importance-weighted roads, run full
     attention with -inf on unselected roads, gate, residual."""
     b, length, d = h_text.shape
-    hq = h_text
     k_src = (x_traffic * scores) @ xa.k_proj.w + xa.k_proj.b
     attn = xa.attn
     heads, dh = attn.h, attn.dh
-    out = np.zeros_like(hq)
+    out = np.zeros_like(h_text)
     for bi in range(b):
-        q = hq[bi] @ attn.wq.w
+        q = h_text[bi] @ attn.wq.w
         k = k_src[bi] @ attn.wk.w
         v = k_src[bi] @ attn.wv.w
         ctx = np.zeros((length, d))
@@ -116,8 +115,8 @@ def masked_dense_xattn_oracle(xa, h_text, x_traffic, scores, sel):
             p = softmax_rows(logits)
             ctx[:, hd * dh:(hd + 1) * dh] = p @ vs
         h_mod = ctx @ attn.wo.w
-        g = sigmoid(np.concatenate([hq[bi], h_mod], axis=-1) @ xa.gate.w + xa.gate.b)
-        out[bi] = hq[bi] + g * h_mod
+        g = sigmoid(np.concatenate([h_text[bi], h_mod], axis=-1) @ xa.gate.w + xa.gate.b)
+        out[bi] = h_text[bi] + g * h_mod
     return out
 
 
