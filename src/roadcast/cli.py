@@ -13,9 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import (generate_synthetic, load_dataset, require_fields, require_int,
-                      require_keys, save_dataset)
-from .errors import DivergenceError, ParseError, RoadcastError
+from .dataset import (generate_synthetic, load_dataset, require_config, require_keys,
+                      save_dataset)
+from .errors import ConfigError, DivergenceError, ParseError, RoadcastError
 from .metrics import validate_report
 from .model import COMPONENTS, JointModel, ModelConfig
 from .training import (TrainConfig, evaluate, forecast_batches, load_checkpoint,
@@ -34,38 +34,51 @@ ABLATE_FLAGS = {f"no-{name}": {f"use_{name}": False} for name in COMPONENTS}
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
 
 
-def _read_config(path) -> dict:
-    """The ``--config`` file: an object of ``model``/``train`` sections whose
-    keys are fields of the section's dataclass, with values of the field's
-    type and ``epochs`` >= 1. ParseError naming the file and the key otherwise."""
+def _read_config(path) -> tuple:
+    """The ``--config`` file as (ModelConfig, TrainConfig): an object of
+    ``model``/``train`` sections whose keys are fields of the section's
+    dataclass, with values of the field's type that the dataclass accepts.
+    ParseError naming the file and the key otherwise."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}")
     require_keys(raw, (), path)
-    for section, values in raw.items():
+    for section in raw:
         if section not in CONFIG_SECTIONS:
             raise ParseError(f"{path}: unknown section {section!r}; expected 'model' or 'train'")
+    configs = []
+    for section, cls in CONFIG_SECTIONS.items():
+        values = raw.get(section, {})
         where = f"{path}: section {section!r}"
-        require_fields(values, CONFIG_SECTIONS[section], where)
-        known = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[section])}
+        require_keys(values, (), where)
+        known = {f.name for f in dataclasses.fields(cls)}
         for key in values:
             if key not in known:
                 raise ParseError(f"{where}: unknown key {key!r}")
-    if "epochs" in raw.get("train", {}):
-        require_int(raw["train"], "epochs", f"{path}: section 'train'", low=1)
-    return raw
+        configs.append(require_config(values, cls, where))
+    return tuple(configs)
 
 
-def _load_configs(config_path, overrides) -> tuple:
-    raw = _read_config(config_path) if config_path else {}
-    model_cfg = ModelConfig.from_dict(raw.get("model", {}))
-    train_raw = dict(raw.get("train", {}))
-    for key, val in overrides.items():
-        if val is not None:
-            train_raw[key] = val
-    train_cfg = TrainConfig.from_dict(train_raw)
-    return model_cfg, train_cfg
+def _train_inputs(args) -> tuple:
+    """(ModelConfig, TrainConfig, graph, series, events) of ``train``/``ablate``:
+    the ``--config`` file, then the ``--lr``/``--epochs``/``--batch``/``--seed``
+    flags given over its ``train`` section, and the ``--data`` dataset."""
+    model_cfg, train_cfg = _read_config(args.config) if args.config else (ModelConfig(),
+                                                                           TrainConfig())
+    flags = {"lr": args.lr, "epochs": args.epochs, "batch": args.batch, "seed": args.seed}
+    train_cfg = dataclasses.replace(train_cfg, **{k: v for k, v in flags.items() if v is not None})
+    graph, series, events, _ = load_dataset(args.data)
+    _require_channels(model_cfg, series, f"{args.config}: section 'model'")
+    return model_cfg, train_cfg, graph, series, events
+
+
+def _require_channels(cfg: ModelConfig, series, where: str) -> None:
+    """ConfigError at ``where`` unless the dataset's speeds have ``cfg.channels`` channels."""
+    have = series.speeds.shape[-1]
+    if cfg.channels != have:
+        raise ConfigError(f"{where}: key 'channels' is {cfg.channels}, but the dataset's "
+                          f"speeds have {have} channel per road")
 
 
 def cmd_gen_data(args) -> int:
@@ -79,15 +92,13 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg = _load_configs(args.config, {
-        "lr": args.lr, "epochs": args.epochs, "batch": args.batch, "seed": args.seed})
+    model_cfg, train_cfg, graph, series, events = _train_inputs(args)
     if args.ablate:
         for flag in args.ablate.split(","):
             flag = flag.strip()
             if flag not in ABLATE_FLAGS:
                 raise RoadcastError(f"unknown ablation flag {flag!r}")
             model_cfg = dataclasses.replace(model_cfg, **ABLATE_FLAGS[flag])
-    graph, series, events, _ = load_dataset(args.data)
     data = prepare_data(graph, series, events, model_cfg)
     model = JointModel(model_cfg, vocab_size=len(data.vocab), n_nodes=graph.n_nodes,
                        physical_adjacency=graph.adjacency, seed=train_cfg.seed)
@@ -106,6 +117,7 @@ def _load_eval_inputs(args):
     if graph.n_nodes != model.n_nodes:
         raise RoadcastError(
             f"dataset has {graph.n_nodes} nodes but checkpoint expects {model.n_nodes}")
+    _require_channels(model.config, series, f"{Path(args.ckpt) / 'manifest.json'} key 'config'")
     data = prepare_data(graph, series, events, model.config)
     return model, vocab, stats, data, graph
 
@@ -161,9 +173,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg = _load_configs(args.config, {
-        "lr": args.lr, "epochs": args.epochs, "batch": args.batch, "seed": args.seed})
-    graph, series, events, _ = load_dataset(args.data)
+    model_cfg, train_cfg, graph, series, events = _train_inputs(args)
     rows = run_ablation(graph, series, events, model_cfg, train_cfg)
     Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
     for row in rows:

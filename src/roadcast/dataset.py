@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ConfigError, ParameterError, ParseError
 from .numerics import RngState
 from .tokenizer import Vocab, encode
 
@@ -314,6 +314,16 @@ def require_fields(obj, cls, where: str) -> dict:
             names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ParseError(f"{where}: key {key!r} must be {names}, got {value!r}")
     return obj
+
+
+def require_config(obj, cls, where: str):
+    """``cls.from_dict(obj)`` for a config dataclass ``cls``, after
+    `require_fields`; a value ``cls`` refuses is a ParseError at ``where``."""
+    require_fields(obj, cls, where)
+    try:
+        return cls.from_dict(obj)
+    except (ConfigError, ParameterError) as err:
+        raise ParseError(f"{where}: {err}") from None
 
 
 def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:

@@ -30,7 +30,6 @@ class SparseAlign(Module):
             raise ParameterError(f"top_k {top_k} < 1")
         self.top_k = top_k
         self._mask_cache: Optional[np.ndarray] = None
-        self._cache = None
 
     def _clear_mask_cache(self) -> None:
         self._mask_cache = None
@@ -51,7 +50,7 @@ class SparseAlign(Module):
                 self._mask_cache = mask
         attn = softmax_rows(np.where(mask > 0, scores, -np.inf))
         c_text = attn @ h_text
-        self._cache = (h_traffic, h_text, attn, scale)
+        self._cache = (h_traffic, h_text, attn, scale) if self.training else None
         return c_text, attn
 
     def backward(self, dc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -78,13 +77,12 @@ class FilmModulation(Module):
         self.eta = eta
         self.w_alpha = self.add_child("w_alpha", Linear(d_model, d_model, rng, bias=False))
         self.w_beta = self.add_child("w_beta", Linear(d_model, d_model, rng, bias=False))
-        self._cache = None
 
     def forward(self, feats: np.ndarray, c_text: np.ndarray) -> np.ndarray:
         """(feats [B, S, N, D], c_text [B, S, D]) -> [B, S, N, D]."""
         alpha = sigmoid(self.w_alpha.forward(c_text))
         beta = tanh(self.w_beta.forward(c_text))
-        self._cache = (feats, alpha, beta)
+        self._cache = (feats, alpha, beta) if self.training else None
         return alpha[:, :, None, :] * feats + self.eta * beta[:, :, None, :]
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,7 +112,6 @@ class GcnBlock(Module):
         self.w = self.add_child("w", Linear(d_model, d_model, rng, bias=True))
         with_loops = physical_adjacency + np.eye(n_nodes)
         self.a_physical = with_loops / with_loops.sum(axis=1, keepdims=True)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x [B, S, N, D] -> same shape."""
@@ -123,7 +120,7 @@ class GcnBlock(Module):
         agg = a_mix @ x
         z = self.w.forward(agg)
         out = relu(z) + x
-        self._cache = (x, a_adp, a_mix, z)
+        self._cache = (x, a_adp, a_mix, z) if self.training else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

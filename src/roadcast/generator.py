@@ -37,7 +37,6 @@ class RoadImportance(Module):
         self.fc1 = self.add_child("fc1", Linear(d_feat, hidden, rng, bias=True))
         self.fc2 = self.add_child("fc2", Linear(hidden, 1, rng, bias=True))
         self._mask_cache: Optional[np.ndarray] = None
-        self._cache = None
 
     def _clear_mask_cache(self) -> None:
         self._mask_cache = None
@@ -53,7 +52,7 @@ class RoadImportance(Module):
             sel = topk_mask(scores[..., 0], selection_size(scores.shape[1]))
             if self.freeze_masks:
                 self._mask_cache = sel
-        self._cache = (h, z, scores)
+        self._cache = (h, z, scores) if self.training else None
         return scores, sel
 
     def selected_indices(self, scores: np.ndarray) -> List[List[int]]:
@@ -78,7 +77,6 @@ class RoadCrossAttention(Module):
         self.k_proj = self.add_child("k_proj", Linear(d_feat, d_model, rng, bias=True))
         self.attn = self.add_child("attn", MultiHeadAttention(d_model, heads, rng))
         self.gate = self.add_child("gate", Linear(2 * d_model, d_model, rng, bias=True))
-        self._cache = None
 
     def forward(self, h_text: np.ndarray, x_traffic: np.ndarray,
                 scores: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -86,7 +84,7 @@ class RoadCrossAttention(Module):
         k_src, mask = self._road_inputs(x_traffic, scores, sel)
         h_mod = self.attn.forward(h_text, k_src, mask)
         out, g = self._gated(h_text, h_mod)
-        self._cache = (x_traffic, h_mod, g)
+        self._cache = (x_traffic, h_mod, g) if self.training else None
         return out
 
     def _road_inputs(self, x_traffic: np.ndarray, scores: np.ndarray,
@@ -134,7 +132,6 @@ class MemoryRead(Module):
         self.mem_v = self.add_param("mem_v", rng.normal((n_slots, d_model), scale=1.0 / np.sqrt(d_model)))
         self.wq = self.add_child("wq", Linear(d_model, d_model, rng, bias=False))
         self.wo = self.add_child("wo", Linear(d_model, d_model, rng, bias=False))
-        self._cache = None
 
     def _slots(self, m: np.ndarray) -> np.ndarray:
         return m.reshape(self.n_slots, self.h, self.dh).transpose(1, 0, 2)  # [h, M, dh]
@@ -147,7 +144,7 @@ class MemoryRead(Module):
         p = softmax_rows(scores)                              # [B, h, L, M]
         ctx = p @ v[None]
         out = self.wo.forward(merge_heads(ctx))
-        self._cache = (q, k, v, p)
+        self._cache = (q, k, v, p) if self.training else None
         return x + out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

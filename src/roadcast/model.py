@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .fusion import FilmModulation, GcnBlock, SparseAlign
 from .generator import ReportGenerator
 from .nn import Module
@@ -27,6 +28,13 @@ from .text_encoder import TextEncoder
 # them. Each name has a ``use_<name>`` field below and a ``no-<name>`` flag
 # for ``roadcast train --ablate``.
 COMPONENTS = ("text", "gcn", "importance", "xattn", "memory")
+
+
+# Smallest value of each size field; a text length holds at least BOS, one
+# token and EOS (`tokenizer.encode`), and the block counts may be zero.
+_LOWEST = {"d_model": 1, "heads": 1, "n_blocks": 0, "patch": 1, "window": 1,
+           "channels": 1, "d_embed": 1, "hist_text_len": 3, "future_text_len": 3,
+           "memory_slots": 1, "decoder_blocks": 0, "detector_hidden": 1, "lora_rank": 1}
 
 
 @dataclass
@@ -52,6 +60,21 @@ class ModelConfig:
     use_importance: bool = True
     use_xattn: bool = True
     use_memory: bool = True
+
+    def __post_init__(self) -> None:
+        """ConfigError naming the first key whose value the model cannot be
+        built or run with."""
+        for key, low in _LOWEST.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"key {key!r} must be >= {low}, got {getattr(self, key)!r}")
+        if self.d_model % self.heads:
+            raise ConfigError(f"key 'd_model' {self.d_model} is not divisible by "
+                              f"key 'heads' {self.heads}")
+        if self.top_k is not None and not 1 <= self.top_k <= self.hist_text_len:
+            raise ConfigError(f"key 'top_k' must be in [1, hist_text_len "
+                              f"{self.hist_text_len}], got {self.top_k!r}")
+        if not 0.0 <= self.lora_dropout < 1.0:
+            raise ConfigError(f"key 'lora_dropout' must be in [0, 1), got {self.lora_dropout!r}")
 
     def resolved_top_k(self) -> int:
         if self.top_k is not None:

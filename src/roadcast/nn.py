@@ -1,8 +1,14 @@
 """Minimal layer framework with hand-written backward passes.
 
-No autodiff tape: every layer caches what its backward needs during forward,
-and ``backward(d_out)`` returns ``d_in`` while accumulating parameter
-gradients in place. One forward followed by one backward per step.
+No autodiff tape: in training mode every layer's forward keeps what its
+backward needs in ``_cache``, and ``backward(d_out)`` returns ``d_in`` while
+accumulating parameter gradients in place. One forward followed by one
+backward per step.
+
+In eval mode (``set_training(False)``) forwards keep nothing for backward:
+the switch drops every cache and each eval forward sets its own to None, so
+inference holds no activations past the call that made them. Modules start in
+training mode.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ class Module:
         self._grads: Dict[str, np.ndarray] = {}
         self._frozen: set = set()
         self._children: Dict[str, "Module"] = {}
-        self.training = False
+        self.training = True
         self.freeze_masks = False
+        self._cache = None  # what backward reads, kept by forward in training mode only
 
     def add_param(self, name: str, value: np.ndarray, frozen: bool = False) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
@@ -63,7 +70,11 @@ class Module:
             child.zero_grad()
 
     def set_training(self, flag: bool) -> None:
+        """Training mode: each forward keeps what backward needs. Eval mode:
+        forwards keep nothing, and the caches of earlier forwards are dropped."""
         self.training = flag
+        if not flag:
+            self._cache = None
         for child in self._children.values():
             child.set_training(flag)
 
@@ -96,18 +107,16 @@ class Linear(Module):
         self.d_in, self.d_out = d_in, d_out
         self.w = self.add_param("w", rng.normal((d_in, d_out), scale=1.0 / np.sqrt(d_in)))
         self.b = self.add_param("b", np.zeros(d_out)) if bias else None
-        self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._cache = x if self.training else None
         y = x @ self.w
         if self.b is not None:
             y = y + self.b
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
-        xf = x.reshape(-1, self.d_in)
+        xf = self._cache.reshape(-1, self.d_in)
         dyf = dy.reshape(-1, self.d_out)
         self._grads["w"] += xf.T @ dyf
         if self.b is not None:
@@ -135,7 +144,6 @@ class LoraLinear(Module):
         self.a = self.add_param("a", rng.normal((rank, d_in), scale=1.0 / np.sqrt(d_in)))
         self.bmat = self.add_param("bmat", np.zeros((d_out, rank)))
         self._rng = rng
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         z = x @ self.a.T
@@ -148,7 +156,7 @@ class LoraLinear(Module):
         y = x @ self.w + self.scale * (z_used @ self.bmat.T)
         if self.b is not None:
             y = y + self.b
-        self._cache = (x, z_used, keep)
+        self._cache = (x, z_used, keep) if self.training else None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -193,13 +201,12 @@ class LayerNorm(Module):
         self.eps = eps
         self.g = self.add_param("g", np.ones(d))
         self.b = self.add_param("b", np.zeros(d))
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         normed = x - x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(np.mean(normed * normed, axis=-1, keepdims=True) + self.eps)
         normed *= inv
-        self._cache = (normed, inv)
+        self._cache = (normed, inv) if self.training else None
         return normed * self.g + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -224,7 +231,6 @@ class Conv1dSame(Module):
         self.d_in, self.d_out, self.k = d_in, d_out, kernel
         self.w = self.add_param("w", rng.normal((kernel, d_in, d_out),
                                                 scale=1.0 / np.sqrt(kernel * d_in)))
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         pad = self.k // 2
@@ -233,7 +239,7 @@ class Conv1dSame(Module):
         out = np.zeros((b, length, self.d_out))
         for j in range(self.k):
             out += xp[:, j:j + length, :] @ self.w[j]
-        self._cache = (xp, length)
+        self._cache = (xp, length) if self.training else None
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -256,7 +262,6 @@ class DepthwiseConv1d(Module):
         assert kernel % 2 == 1
         self.d, self.k = d, kernel
         self.w = self.add_param("w", rng.normal((kernel, d), scale=1.0 / np.sqrt(kernel)))
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         pad = self.k // 2
@@ -265,7 +270,7 @@ class DepthwiseConv1d(Module):
         out = np.zeros_like(x)
         for j in range(self.k):
             out += xp[:, j:j + length, :] * self.w[j]
-        self._cache = (xp, length)
+        self._cache = (xp, length) if self.training else None
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -316,14 +321,13 @@ class MultiHeadAttention(Module):
             self.wv = self.add_child("wv", LoraLinear(d_model, d_model, bias=False, rng=rng, **lora))
         self.wk = self.add_child("wk", Linear(d_model, d_model, rng, bias=False))
         self.wo = self.add_child("wo", Linear(d_model, d_model, rng, bias=False))
-        self._cache = None
 
     def forward(self, q_in: np.ndarray, kv_in: np.ndarray,
                 mask: Optional[np.ndarray] = None) -> np.ndarray:
         q = self.queries(q_in)
         k, v = self.keys_values(kv_in)
         out, p = self.attend(q, k, v, mask)
-        self._cache = (q, k, v, p)
+        self._cache = (q, k, v, p) if self.training else None
         return out
 
     def queries(self, q_in: np.ndarray) -> np.ndarray:

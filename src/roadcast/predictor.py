@@ -23,7 +23,6 @@ class PatchEmbed(Module):
         super().__init__()
         self.p, self.d_in = patch, d_in
         self.proj = self.add_child("proj", Linear(patch * d_in, d_model, rng, bias=True))
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """[B, t, N, d_in] -> [B, ceil(t/p), N, d_model]."""
@@ -35,7 +34,7 @@ class PatchEmbed(Module):
         # [B, P, p, N, d_in] -> [B, P, N, p*d_in]
         xp = x.reshape(b, n_patches, self.p, n, self.d_in).transpose(0, 1, 3, 2, 4)
         flat = xp.reshape(b, n_patches, n, self.p * self.d_in)
-        self._cache = (b, t, n, pad, n_patches)
+        self._cache = (b, t, n, pad, n_patches) if self.training else None
         return self.proj.forward(flat)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -56,12 +55,11 @@ class TwoStageBlock(Module):
         self.norm_time = self.add_child("norm_time", LayerNorm(d_model))
         self.attn_node = self.add_child("attn_node", MultiHeadAttention(d_model, heads, rng))
         self.norm_node = self.add_child("norm_node", LayerNorm(d_model))
-        self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """[B, P, N, D] -> same shape."""
         b, p, n, d = x.shape
-        self._shape = (b, p, n, d)
+        self._cache = (b, p, n, d) if self.training else None
         xt = x.transpose(0, 2, 1, 3).reshape(b * n, p, d)
         xt = self.norm_time.forward(xt + self.attn_time.forward(xt, xt))
         x2 = xt.reshape(b, n, p, d).transpose(0, 2, 1, 3)
@@ -70,7 +68,7 @@ class TwoStageBlock(Module):
         return xn.reshape(b, p, n, d)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        b, p, n, d = self._shape
+        b, p, n, d = self._cache
         dxn = self.norm_node.backward(dout.reshape(b * p, n, d))
         dq, dkv = self.attn_node.backward(dxn)
         dx2 = (dxn + dq + dkv).reshape(b, p, n, d)
@@ -98,7 +96,6 @@ class Predictor(Module):
         self.cross = self.add_child("cross", MultiHeadAttention(d_model, heads, rng))
         self.norm = self.add_child("norm", LayerNorm(d_model))
         self.head = self.add_child("head", Linear(d_model, patch * channels, rng, bias=True))
-        self._cache = None
 
     def forward(self, h: np.ndarray) -> np.ndarray:
         """[B, t, N, d_in] -> y_hat [B, window, N, C] (normalized scale)."""
@@ -116,7 +113,7 @@ class Predictor(Module):
         out = out.reshape(b, n, self.n_out_patches, self.patch, self.channels)
         out = out.transpose(0, 2, 3, 1, 4).reshape(b, self.n_out_patches * self.patch,
                                                    n, self.channels)
-        self._cache = (b, n, n_patches, d)
+        self._cache = (b, n, n_patches, d) if self.training else None
         return out[:, :self.window]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

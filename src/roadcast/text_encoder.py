@@ -25,7 +25,6 @@ class TextEncoder(Module):
         self.pointwise = self.add_child("pointwise", Linear(d_model, d_model, rng, bias=False))
         self.fuse = self.add_child("fuse", Linear(2 * d_model, d_model, rng, bias=True))
         self.norm = self.add_child("norm", LayerNorm(d_model))
-        self._mask = None
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """tokens [B, L] int -> H_text [B, L, D]."""
@@ -38,11 +37,11 @@ class TextEncoder(Module):
         glob = self.pointwise.forward(self.depthwise.forward(emb))
         fused = self.fuse.forward(np.concatenate([local, glob], axis=-1))
         out = self.norm.forward(fused) * mask
-        self._mask = mask
+        self._cache = mask if self.training else None
         return out
 
     def backward(self, dout: np.ndarray) -> None:
-        mask = self._mask
+        mask = self._cache
         dfused = self.norm.backward(dout * mask)
         dcat = self.fuse.backward(dfused)
         d = dcat.shape[-1] // 2

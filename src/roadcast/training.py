@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph, Sample,
-                      TrafficSeries, denormalize, fit_norm_stats, require_fields,
+                      TrafficSeries, denormalize, fit_norm_stats, require_config,
                       require_int, require_keys, split_temporal, windowize,
                       z_normalize)
 from .errors import DivergenceError, ParameterError, ParseError
@@ -37,12 +37,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ParameterError(f"lr {self.lr} must be positive")
-        if self.batch < 1:
-            raise ParameterError(f"batch {self.batch} must be >= 1")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs {self.epochs} must be >= 1")
+        if not self.lr > 0:
+            raise ParameterError(f"key 'lr' must be positive, got {self.lr!r}")
+        for key in ("batch", "epochs"):
+            if getattr(self, key) < 1:
+                raise ParameterError(f"key {key!r} must be >= 1, got {getattr(self, key)!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -368,8 +367,7 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
                             "n_nodes", "seed", "tensors", "total_bytes"), where)
     n = require_int(manifest, "n_nodes", where, low=1)
     seed = require_int(manifest, "seed", where)
-    cfg = ModelConfig.from_dict(require_fields(manifest["config"], ModelConfig,
-                                               f"{where} key 'config'"))
+    cfg = require_config(manifest["config"], ModelConfig, f"{where} key 'config'")
     words = manifest["vocab_words"]
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ParseError(f"{where}: key 'vocab_words' must be a list of strings")

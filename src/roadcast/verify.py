@@ -145,7 +145,7 @@ def check_joint_gradients(seeds=(0,), tol: float = 1e-4,
     failures = []
     for seed in seeds:
         model, _, batch = probe_model(seed)
-        model.set_training(False)
+        model.set_training(True)
         model.set_freeze_masks(True)
         hook = None
         if corrupt:

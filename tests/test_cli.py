@@ -122,6 +122,29 @@ def test_bad_config_file_exits_2(pipeline, tmp_path, capsys, config, needle):
     assert not (tmp_path / "ckpt").exists()
 
 
+@pytest.mark.parametrize("section,values,needle", [
+    ("model", {"d_model": 0}, "'d_model'"), ("model", {"lora_rank": 0}, "'lora_rank'"),
+    ("model", {"heads": 0}, "'heads'"), ("model", {"patch": 0}, "'patch'"),
+    ("model", {"d_model": 6, "heads": 4}, "'heads'"),
+    ("model", {"lora_dropout": 1.0}, "'lora_dropout'"), ("model", {"top_k": 9}, "'top_k'"),
+    ("model", {"future_text_len": 2}, "'future_text_len'"),
+    ("model", {"channels": 2}, "'channels'"), ("train", {"lr": 0}, "'lr'"),
+])
+def test_out_of_range_config_value_exits_2(pipeline, tmp_path, capsys, section, values,
+                                           needle):
+    """Well-typed values the model cannot be built or trained with, each set
+    in the pipeline's working config."""
+    _, data, _, cfg = pipeline
+    config = json.loads(cfg.read_text())
+    config[section].update(values)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code = main(["train", "--data", str(data), "--config", str(bad),
+                 "--out", str(tmp_path / "ckpt")])
+    _assert_one_line_usage_error(code, capsys, str(bad), needle)
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_unknown_ablation_flag_exits_2(pipeline, tmp_path):
     _, data, _, cfg = pipeline
     code = main(["train", "--data", str(data), "--config", str(cfg),
@@ -293,10 +316,12 @@ def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key
     (lambda m: m["tensors"][0].update(name=[1]), "name"),
     (lambda m: m["tensors"][0].update(shape=[float(s) for s in m["tensors"][0]["shape"]]),
      "shape"),
+    (lambda m: m["config"].update(heads=0), "heads"),
+    (lambda m: m["config"].update(lora_dropout=1.0), "lora_dropout"),
 ], ids=["n_nodes-str", "n_nodes-0", "seed-float", "config-list", "config-field-type",
         "norm_stats-list", "norm_stats-no-std", "norm_stats-shape", "vocab_words-int",
         "adjacency-1x1", "tensors-object", "tensor-no-offset", "tensor-offset-str",
-        "tensor-name-list", "tensor-shape-floats"])
+        "tensor-name-list", "tensor-shape-floats", "config-heads-0", "config-lora_dropout-1"])
 def test_checkpoint_manifest_bad_value_exits_2(pipeline, tmp_path, capsys, edit, key):
     _, data, ckpt, _ = pipeline
     bad = tmp_path / "ckpt"

@@ -12,7 +12,8 @@ from roadcast.model import JointModel, ModelConfig
 from roadcast.numerics import RngState
 from roadcast.tokenizer import PAD
 from roadcast.training import (Adam, TrainConfig, batchify, cross_entropy_loss,
-                               evaluate, grad_check, joint_loss, load_checkpoint,
+                               evaluate, forecast_batches, forward_backward,
+                               grad_check, joint_loss, load_checkpoint,
                                lr_schedule, mse_loss, prepare_data,
                                save_checkpoint, table_grid, train)
 
@@ -229,6 +230,43 @@ def test_train_max_steps_stops_early(tiny_cfg):
     tc = TrainConfig(lr=0.005, batch=4, epochs=50, warmup_epochs=1, seed=0)
     trace = train(model, data.train, tc, max_steps=3)
     assert len(trace) == 1  # stopped inside the first epoch
+
+
+# --- eval mode keeps no backward caches --------------------------------------
+
+# What a module holds between calls that is not a backward cache: parameters,
+# children, the LoRA rng, the masks the gradient harness freezes, and the ids
+# Embedding's own forward indexes with.
+MODULE_STATE = {"_params", "_grads", "_frozen", "_children", "_rng", "_mask_cache", "_ids"}
+
+
+def held_caches(module, prefix=""):
+    """Dotted names of the private attributes of ``module`` and its children
+    that hold anything beyond MODULE_STATE."""
+    held = [prefix + name for name, value in vars(module).items()
+            if name.startswith("_") and name not in MODULE_STATE and value is not None]
+    for cname, child in module._children.items():
+        held += held_caches(child, f"{prefix}{cname}.")
+    return held
+
+
+@pytest.mark.parametrize("train_first,decode", [(False, False), (True, False), (True, True)],
+                         ids=["forecast", "train-then-forecast", "train-then-decode"])
+def test_eval_forwards_keep_no_backward_cache(tiny_cfg, train_first, decode):
+    _, _, _, data, model = tiny_setup(tiny_cfg)
+    if train_first:
+        forward_backward(model, batchify(data.train[:8]), lambda_text=0.5)
+        # training mode keeps a cache in one layer of every class that has one
+        assert {"gcn.w._cache", "generator.block0.wq._cache", "predictor.norm._cache",
+                "text_encoder.local._cache", "text_encoder.depthwise._cache",
+                "predictor.block0.attn_node._cache", "align._cache", "film._cache",
+                "gcn._cache", "generator.importance._cache", "generator.xattn._cache",
+                "generator.memory._cache", "predictor._cache", "predictor.patch_embed._cache",
+                "predictor.block0._cache", "text_encoder._cache"} <= set(held_caches(model))
+    for _, y_hat in forecast_batches(model, data.test[:4]):
+        if decode:
+            model.decode_reports(y_hat, tiny_cfg.future_text_len)
+    assert held_caches(model) == []
 
 
 # --- checkpoint I/O ----------------------------------------------------------
