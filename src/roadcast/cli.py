@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import (generate_synthetic, load_dataset, require_config, require_keys,
-                      save_dataset)
+from .dataset import (generate_synthetic, load_dataset, n_train_samples, require,
+                      require_config, save_dataset)
 from .errors import ConfigError, DivergenceError, ParseError, RoadcastError
 from .metrics import validate_report
 from .model import COMPONENTS, JointModel, ModelConfig
@@ -43,21 +43,11 @@ def _read_config(path) -> tuple:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}")
-    require_keys(raw, (), path)
-    for section in raw:
+    for section in require(raw, {}, path):
         if section not in CONFIG_SECTIONS:
             raise ParseError(f"{path}: unknown section {section!r}; expected 'model' or 'train'")
-    configs = []
-    for section, cls in CONFIG_SECTIONS.items():
-        values = raw.get(section, {})
-        where = f"{path}: section {section!r}"
-        require_keys(values, (), where)
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in values:
-            if key not in known:
-                raise ParseError(f"{where}: unknown key {key!r}")
-        configs.append(require_config(values, cls, where))
-    return tuple(configs)
+    return tuple(require_config(raw.get(section, {}), cls, f"{path}: section {section!r}")
+                 for section, cls in CONFIG_SECTIONS.items())
 
 
 def _train_inputs(args) -> tuple:
@@ -69,7 +59,12 @@ def _train_inputs(args) -> tuple:
     flags = {"lr": args.lr, "epochs": args.epochs, "batch": args.batch, "seed": args.seed}
     train_cfg = dataclasses.replace(train_cfg, **{k: v for k, v in flags.items() if v is not None})
     graph, series, events, _ = load_dataset(args.data)
-    _require_channels(model_cfg, series, f"{args.config}: section 'model'")
+    where = f"{args.config}: section 'model'" if args.config else "default model config"
+    _require_channels(model_cfg, series, where)
+    n_steps = series.speeds.shape[0]
+    if n_train_samples(n_steps, model_cfg.window) < 1:
+        raise ConfigError(f"{where}: key 'window' is {model_cfg.window}, but the dataset's "
+                          f"series of {n_steps} steps leaves no training samples")
     return model_cfg, train_cfg, graph, series, events
 
 

@@ -7,6 +7,7 @@ annotations, so real files with the same layout can be dropped in unchanged.
 from __future__ import annotations
 
 import json
+import reprlib
 import typing
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -86,15 +87,10 @@ class Sample:
 @dataclass
 class NormStats:
     mean: np.ndarray  # [N, C]
-    std: np.ndarray   # [N, C], >= eps
+    std: np.ndarray   # [N, C], >= STD_FLOOR
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(mean=np.asarray(d["mean"], dtype=np.float64),
-                   std=np.asarray(d["std"], dtype=np.float64))
 
 
 def _random_graph(n_nodes: int, rng: RngState) -> RoadGraph:
@@ -114,10 +110,10 @@ def _random_graph(n_nodes: int, rng: RngState) -> RoadGraph:
 
 def generate_synthetic(n_nodes: int, n_steps: int, anomaly_rate: float,
                        anomaly_depth: float, seed: int, step_minutes: int = 4,
-                       window: int = 12, noise_scale: float = 1.0,
-                       announce_lead: int = 0
+                       window: int = 12, announce_lead: int = 0
                        ) -> Tuple[RoadGraph, TrafficSeries, EventLog]:
-    """Diurnal sinusoid + noise per node, with multiplicative anomaly depressions.
+    """Diurnal sinusoid + unit Gaussian noise per node, with multiplicative
+    anomaly depressions.
 
     Each anomaly hits one node over one interval (speed scaled by
     ``1 - anomaly_depth``), spills a half-depth depression onto its graph
@@ -149,7 +145,7 @@ def generate_synthetic(n_nodes: int, n_steps: int, anomaly_rate: float,
     amp = rng.uniform((n_nodes,), 5.0, 15.0)
     phase = rng.uniform((n_nodes,), 0.0, 2 * np.pi)
     clean = base + amp * np.sin(2 * np.pi * t_axis / period + phase)
-    clean = clean + rng.normal((n_steps, n_nodes), scale=noise_scale)
+    clean = clean + rng.normal((n_steps, n_nodes))
     baseline = clean[..., None].copy()  # [T, N, 1]
 
     speeds = baseline.copy()
@@ -204,19 +200,21 @@ def windowize(series: TrafficSeries, events: EventLog, vocab: Vocab, t: int,
     return samples
 
 
-def fit_norm_stats(speeds: np.ndarray, n_rows: Optional[int] = None,
-                   eps: float = 1e-8) -> NormStats:
+STD_FLOOR = 1e-8  # smallest std, so a constant road normalizes to 0, not NaN
+
+
+def fit_norm_stats(speeds: np.ndarray, n_rows: Optional[int] = None) -> NormStats:
     """Per-node, per-channel moments over the first ``n_rows`` time steps."""
     rows = speeds if n_rows is None else speeds[:n_rows]
     mean = rows.mean(axis=0)
-    std = np.maximum(rows.std(axis=0), eps)
+    std = np.maximum(rows.std(axis=0), STD_FLOOR)
     return NormStats(mean=mean, std=std)
 
 
-def z_normalize(series: TrafficSeries, stats: Optional[NormStats] = None,
-                fit_rows: Optional[int] = None) -> Tuple[TrafficSeries, NormStats]:
+def z_normalize(series: TrafficSeries, stats: Optional[NormStats] = None
+                ) -> Tuple[TrafficSeries, NormStats]:
     if stats is None:
-        stats = fit_norm_stats(series.speeds, n_rows=fit_rows)
+        stats = fit_norm_stats(series.speeds)
     normed = (series.speeds - stats.mean) / stats.std
     return TrafficSeries(speeds=normed, step_minutes=series.step_minutes), stats
 
@@ -239,6 +237,12 @@ def split_temporal(samples: Sequence[Sample], ratio: float = 0.8) -> Tuple[List[
     t = train[0].x_hist.shape[0]
     train = [s for s in train if s.anchor_time + 2 * t <= boundary]
     return train, test
+
+
+def n_train_samples(n_steps: int, t: int) -> int:
+    """How many training samples `split_temporal` at its default ratio keeps
+    of the windows `windowize` cuts from a series of ``n_steps`` steps."""
+    return max(0, int(np.floor(0.8 * (n_steps - 2 * t + 1))) - 2 * t + 1)
 
 
 # --- file formats -----------------------------------------------------------
@@ -274,54 +278,62 @@ def save_dataset(out_dir, graph: RoadGraph, series: TrafficSeries,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def require_keys(obj, keys: Sequence[str], where: str) -> None:
-    """ParseError at ``where`` unless ``obj`` is a JSON object holding every key."""
+def require(obj, spec: dict, where: str) -> dict:
+    """``obj``, once it is a JSON object holding each key of ``spec`` with a
+    value of the kind named for it; ParseError at ``where`` otherwise.
+
+    A kind is a type or a tuple of types (a bool is only a bool, an int also
+    fits a float, ``None`` means null), ``[kind]`` for a list of that kind, or
+    an int ``low`` for an integer >= ``low``. The message shows a misfit value
+    abridged, so a long list stays one short line.
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    for key in keys:
+    for key, kind in spec.items():
         if key not in obj:
             raise ParseError(f"{where}: missing key {key!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def require_int(obj: dict, key: str, where: str, low: Optional[int] = None) -> int:
-    """``obj[key]`` as an int (a bool is not one), at least ``low`` when given."""
-    value = obj[key]
-    if not _is_int(value) or (low is not None and value < low):
-        expected = "an integer" if low is None else f"an integer >= {low}"
-        raise ParseError(f"{where}: key {key!r} must be {expected}, got {value!r}")
-    return value
-
-
-def require_fields(obj, cls, where: str) -> dict:
-    """``obj`` as a JSON object whose keys that name fields of dataclass ``cls``
-    hold values of the field's type: a bool fits only a bool field, an int
-    also fits a float field, and null fits an Optional one. Other keys pass."""
-    require_keys(obj, (), where)
-    hints = typing.get_type_hints(cls)
-    for key, value in obj.items():
-        if key not in hints:
-            continue
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        if isinstance(value, bool):
-            fits = bool in allowed
-        else:
-            fits = isinstance(value, allowed + ((int,) if float in allowed else ()))
-        if not fits:
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise ParseError(f"{where}: key {key!r} must be {names}, got {value!r}")
+        if not _fits(obj[key], kind):
+            raise ParseError(f"{where}: key {key!r} must be {_kind_name(kind)}, "
+                             f"got {reprlib.repr(obj[key])}")
     return obj
 
 
+def _types(kind) -> tuple:
+    return tuple(type(None) if t is None else t
+                 for t in (kind if isinstance(kind, tuple) else (kind,)))
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if type(kind) is int:
+        return _fits(value, int) and value >= kind
+    types = _types(kind)
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types + ((int,) if float in types else ()))
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list of {_kind_name(kind[0])}"
+    if type(kind) is int:
+        return f"an integer >= {kind}"
+    return " or ".join("null" if t is type(None) else t.__name__ for t in _types(kind))
+
+
 def require_config(obj, cls, where: str):
-    """``cls.from_dict(obj)`` for a config dataclass ``cls``, after
-    `require_fields`; a value ``cls`` refuses is a ParseError at ``where``."""
-    require_fields(obj, cls, where)
+    """``cls(**obj)`` for a config dataclass ``cls``, once every key of ``obj``
+    names a field of ``cls`` and holds a value of the field's type (see
+    `require`); ParseError at ``where`` otherwise, also for a value ``cls``
+    refuses."""
+    hints = typing.get_type_hints(cls)
+    for key in require(obj, {}, where):
+        if key not in hints:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    require(obj, {key: typing.get_args(hints[key]) or hints[key] for key in obj}, where)
     try:
-        return cls.from_dict(obj)
+        return cls(**obj)
     except (ConfigError, ParameterError) as err:
         raise ParseError(f"{where}: {err}") from None
 
@@ -334,15 +346,10 @@ def load_dataset(in_dir) -> Tuple[RoadGraph, TrafficSeries, EventLog, dict]:
         raise ParseError(f"missing manifest.json under {src}")
     except json.JSONDecodeError as err:
         raise ParseError(f"manifest.json: {err}")
-    require_keys(manifest, ("adjacency", "speeds", "step_minutes", "events"), "manifest.json")
-    for key in ("adjacency", "speeds", "events"):
-        if not isinstance(manifest[key], str):
-            raise ParseError(f"manifest.json: key {key!r} must be a file name, "
-                             f"got {manifest[key]!r}")
-    step_minutes = require_int(manifest, "step_minutes", "manifest.json", low=1)
-
+    require(manifest, {"adjacency": str, "speeds": str, "step_minutes": 1, "events": str},
+            "manifest.json")
     graph = _load_adjacency(src / manifest["adjacency"])
-    series = _load_speeds(src / manifest["speeds"], graph, step_minutes)
+    series = _load_speeds(src / manifest["speeds"], graph, manifest["step_minutes"])
     events = _load_events(src / manifest["events"], series.speeds.shape[0], graph.n_nodes)
     return graph, series, events, manifest
 
@@ -378,17 +385,12 @@ def _load_adjacency(path: Path) -> RoadGraph:
         spec = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{path.name}: {err}")
-    require_keys(spec, ("nodes", "edges"), path.name)
-    names = spec["nodes"]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise ParseError(f"{path.name}: key 'nodes' must be a list of strings, got {names!r}")
-    if not isinstance(spec["edges"], list):
-        raise ParseError(f"{path.name}: key 'edges' must be a list, got {spec['edges']!r}")
+    names = require(spec, {"nodes": [str], "edges": [[int]]}, path.name)["nodes"]
     n = len(names)
     adj = np.zeros((n, n))
     seen = set()
     for edge in spec["edges"]:
-        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+        if len(edge) != 2:
             raise ParseError(f"{path.name}: key 'edges': {edge!r} is not a pair of integers")
         i, j = edge
         if not (0 <= i < n and 0 <= j < n):
@@ -413,15 +415,13 @@ def _load_events(path: Path, n_steps: int, n_nodes: int) -> EventLog:
         except json.JSONDecodeError as err:
             raise ParseError(f"{path.name}: line {ln}: {err}")
         where = f"{path.name}: line {ln}"
-        require_keys(obj, ("t", "node"), where)
-        t, node = require_int(obj, "t", where), require_int(obj, "node", where)
-        if obj.get("kind") not in EVENT_KINDS:
-            raise ParseError(f"{where}: unknown kind {obj.get('kind')!r}")
-        if not (0 <= t < n_steps) or not (0 <= node < n_nodes):
+        require(obj, {"t": int, "node": int, "kind": str, "text": str}, where)
+        event = Event(obj["t"], obj["node"], obj["kind"], obj["text"])
+        if event.kind not in EVENT_KINDS:
+            raise ParseError(f"{where}: unknown kind {event.kind!r}")
+        if not (0 <= event.t < n_steps) or not (0 <= event.node < n_nodes):
             raise ParseError(f"{where}: index out of range")
-        if not obj.get("text"):
+        if not event.text:
             raise ParseError(f"{where}: empty text")
-        if not isinstance(obj["text"], str):
-            raise ParseError(f"{where}: key 'text' must be a string, got {obj['text']!r}")
-        log.events.append(Event(t=t, node=node, kind=obj["kind"], text=obj["text"]))
+        log.events.append(event)
     return log

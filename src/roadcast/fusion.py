@@ -66,15 +66,14 @@ class SparseAlign(Module):
 
 
 class FilmModulation(Module):
-    """x_guided = sigmoid(W_a c) * h_traffic + eta * tanh(W_b c).
+    """x_guided = sigmoid(W_a c) * h_traffic + ETA * tanh(W_b c).
 
     alpha/beta are computed per (batch, step) from the aligned text context
     and broadcast over the node axis.
     """
 
-    def __init__(self, d_model: int, rng: RngState, eta: float = ETA) -> None:
+    def __init__(self, d_model: int, rng: RngState) -> None:
         super().__init__()
-        self.eta = eta
         self.w_alpha = self.add_child("w_alpha", Linear(d_model, d_model, rng, bias=False))
         self.w_beta = self.add_child("w_beta", Linear(d_model, d_model, rng, bias=False))
 
@@ -83,13 +82,13 @@ class FilmModulation(Module):
         alpha = sigmoid(self.w_alpha.forward(c_text))
         beta = tanh(self.w_beta.forward(c_text))
         self._cache = (feats, alpha, beta) if self.training else None
-        return alpha[:, :, None, :] * feats + self.eta * beta[:, :, None, :]
+        return alpha[:, :, None, :] * feats + ETA * beta[:, :, None, :]
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (d_feats, d_c_text)."""
         feats, alpha, beta = self._cache
         dalpha = (dout * feats).sum(axis=2)
-        dbeta = self.eta * dout.sum(axis=2)
+        dbeta = ETA * dout.sum(axis=2)
         dfeats = dout * alpha[:, :, None, :]
         dz_a = dalpha * alpha * (1.0 - alpha)
         dz_b = dbeta * (1.0 - beta ** 2)

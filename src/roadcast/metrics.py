@@ -116,8 +116,8 @@ def lcs_length(x: Sequence, y: Sequence) -> int:
     return prev[len(y)]
 
 
-def rouge_l(hyp: Sequence, ref: Sequence, beta: float = 1.0) -> float:
-    """LCS-based F-measure; beta = 1 gives the harmonic mean of P and R."""
+def rouge_l(hyp: Sequence, ref: Sequence) -> float:
+    """LCS-based F1: the harmonic mean of LCS precision and recall."""
     if len(hyp) == 0 or len(ref) == 0:
         return 0.0
     lcs = lcs_length(hyp, ref)
@@ -125,7 +125,7 @@ def rouge_l(hyp: Sequence, ref: Sequence, beta: float = 1.0) -> float:
         return 0.0
     p = lcs / len(hyp)
     r = lcs / len(ref)
-    return (1.0 + beta ** 2) * p * r / (beta ** 2 * p + r)
+    return 2.0 * p * r / (p + r)
 
 
 @dataclass
@@ -143,17 +143,8 @@ class MetricReport:
             "n_samples": self.n_samples,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        return cls(pred=d["pred"], bleu4=d["text"]["bleu4"], meteor=d["text"]["meteor"],
-                   rouge_l=d["text"]["rouge_l"], n_samples=d["n_samples"])
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MetricReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 REPORT_SCHEMA = {

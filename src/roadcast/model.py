@@ -8,7 +8,6 @@ evaluation time; both paths share the same wiring.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -80,14 +79,6 @@ class ModelConfig:
         if self.top_k is not None:
             return self.top_k
         return max(2, math.ceil(self.hist_text_len / 4))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 class JointModel(Module):

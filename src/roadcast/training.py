@@ -14,9 +14,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph, Sample,
-                      TrafficSeries, denormalize, fit_norm_stats, require_config,
-                      require_int, require_keys, split_temporal, windowize,
-                      z_normalize)
+                      TrafficSeries, denormalize, fit_norm_stats, require,
+                      require_config, split_temporal, windowize, z_normalize)
 from .errors import DivergenceError, ParameterError, ParseError
 from .metrics import MetricReport, evaluate_run
 from .model import COMPONENTS, JointModel, ModelConfig
@@ -43,14 +42,6 @@ class TrainConfig:
             if getattr(self, key) < 1:
                 raise ParameterError(f"key {key!r} must be >= 1, got {getattr(self, key)!r}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
-
 
 # --- losses -----------------------------------------------------------------
 
@@ -60,11 +51,10 @@ def mse_loss(y_hat: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray,
-                       pad_id: int = PAD) -> Tuple[float, np.ndarray]:
+def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
     """Mean token-level CE over non-PAD targets; returns (loss, dlogits)."""
     targets = np.asarray(targets, dtype=np.int64)
-    mask = (targets != pad_id).astype(np.float64)
+    mask = (targets != PAD).astype(np.float64)
     n_tok = mask.sum()
     if n_tok == 0:
         return 0.0, np.zeros_like(logits)
@@ -90,28 +80,29 @@ def joint_loss(forecast: np.ndarray, y_true: np.ndarray, logits: np.ndarray,
 
 # --- optimizer and schedule -------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter dict; frozen names skipped."""
 
-    def __init__(self, params: Dict[str, np.ndarray], frozen: Sequence[str] = (),
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def __init__(self, params: Dict[str, np.ndarray], frozen: Sequence[str] = ()) -> None:
         self.params = {k: v for k, v in params.items() if k not in set(frozen)}
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.t = 0
 
     def step(self, grads: Dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / b1c
             v_hat = self.v[name] / b2c
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_schedule(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> float:
@@ -136,8 +127,11 @@ class GradCheckReport:
         return not self.failures
 
 
+FD_STEP = 1e-5  # central-difference step of `grad_check`
+
+
 def grad_check(loss_fn, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
-               skip: Sequence[str] = (), tol: float = 1e-4, h: float = 1e-5,
+               skip: Sequence[str] = (), tol: float = 1e-4,
                max_coords_per_tensor: int = 64, seed: int = 0) -> GradCheckReport:
     """Central finite differences on a subsampled coordinate set per tensor.
 
@@ -159,12 +153,12 @@ def grad_check(loss_fn, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarr
         flat = p.reshape(-1)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + FD_STEP
             lp = loss_fn()
-            flat[idx] = orig - h
+            flat[idx] = orig - FD_STEP
             lm = loss_fn()
             flat[idx] = orig
-            g_fd = (lp - lm) / (2.0 * h)
+            g_fd = (lp - lm) / (2.0 * FD_STEP)
             g_an = analytic[name].reshape(-1)[idx]
             rel = abs(g_an - g_fd) / max(1.0, abs(g_an), abs(g_fd))
             report.n_checked += 1
@@ -340,8 +334,8 @@ def save_checkpoint(out_dir, model: JointModel, vocab: Vocab, stats: NormStats,
     manifest = {
         "tensors": entries,
         "total_bytes": offset,
-        "config": model.config.to_dict(),
-        "train_config": train_cfg.to_dict() if train_cfg else None,
+        "config": dataclasses.asdict(model.config),
+        "train_config": dataclasses.asdict(train_cfg) if train_cfg else None,
         "seed": seed,
         "n_nodes": model.n_nodes,
         "vocab_words": vocab.id_to_word,
@@ -363,30 +357,19 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
     except json.JSONDecodeError as err:
         raise ParseError(f"manifest.json: {err}")
     where = str(manifest_path)
-    require_keys(manifest, ("config", "vocab_words", "norm_stats", "physical_adjacency",
-                            "n_nodes", "seed", "tensors", "total_bytes"), where)
-    n = require_int(manifest, "n_nodes", where, low=1)
-    seed = require_int(manifest, "seed", where)
+    require(manifest, {"config": dict, "vocab_words": [str], "norm_stats": dict,
+                       "physical_adjacency": list, "n_nodes": 1, "seed": 0, "tensors": list,
+                       "total_bytes": 0}, where)
+    n, seed = manifest["n_nodes"], manifest["seed"]
     cfg = require_config(manifest["config"], ModelConfig, f"{where} key 'config'")
-    words = manifest["vocab_words"]
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise ParseError(f"{where}: key 'vocab_words' must be a list of strings")
-    vocab = Vocab(id_to_word=words[4:])
+    vocab = Vocab(id_to_word=manifest["vocab_words"][4:])
     norm_where = f"{where} key 'norm_stats'"
-    require_keys(manifest["norm_stats"], ("mean", "std"), norm_where)
-    stats = NormStats(mean=_number_array(manifest["norm_stats"], "mean", (n, 1), norm_where),
-                      std=_number_array(manifest["norm_stats"], "std", (n, 1), norm_where))
+    norm = require(manifest["norm_stats"], {"mean": list, "std": list}, norm_where)
+    stats = NormStats(mean=_number_array(norm, "mean", (n, 1), norm_where),
+                      std=_number_array(norm, "std", (n, 1), norm_where))
     a_hat = _number_array(manifest, "physical_adjacency", (n, n), where)
-    if not isinstance(manifest["tensors"], list):
-        raise ParseError(f"{where}: key 'tensors' must be a list")
     for i, entry in enumerate(manifest["tensors"]):
-        at = f"{where} tensor {i}"
-        require_keys(entry, ("name", "shape", "offset"), at)
-        require_int(entry, "offset", at, low=0)
-        if not isinstance(entry["name"], str):
-            raise ParseError(f"{at}: key 'name' must be a string")
-        if not isinstance(entry["shape"], list) or any(type(s) is not int for s in entry["shape"]):
-            raise ParseError(f"{at}: key 'shape' must be a list of integers")
+        require(entry, {"name": str, "shape": [0], "offset": 0}, f"{where} tensor {i}")
     # a_physical already includes self-loop normalization; rebuild then overwrite
     model = JointModel(cfg, vocab_size=len(vocab), n_nodes=n,
                        physical_adjacency=np.zeros_like(a_hat), seed=seed)
@@ -445,14 +428,11 @@ def table_grid() -> List[Tuple[str, dict]]:
 
 
 def run_ablation(graph: RoadGraph, series: TrafficSeries, events: EventLog,
-                 model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 grid: Optional[List[Tuple[str, dict]]] = None) -> List[dict]:
-    """Train one model per flag row on the shared split, evaluate each on the
-    shared test set, and emit Table-style rows."""
-    if grid is None:
-        grid = table_grid()
+                 model_cfg: ModelConfig, train_cfg: TrainConfig) -> List[dict]:
+    """Train one model per `table_grid` row on the shared split, evaluate each
+    on the shared test set, and emit Table-style rows."""
     rows = []
-    for label, flags in grid:
+    for label, flags in table_grid():
         cfg = dataclasses.replace(model_cfg, **flags)
         data = prepare_data(graph, series, events, cfg)
         model = JointModel(cfg, vocab_size=len(data.vocab), n_nodes=graph.n_nodes,

@@ -1,9 +1,15 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadcast.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE,
                           main)
@@ -142,6 +148,25 @@ def test_out_of_range_config_value_exits_2(pipeline, tmp_path, capsys, section, 
     code = main(["train", "--data", str(data), "--config", str(bad),
                  "--out", str(tmp_path / "ckpt")])
     _assert_one_line_usage_error(code, capsys, str(bad), needle)
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("with_config", [True, False])
+def test_window_leaving_no_training_samples_exits_2(pipeline, tmp_path, capsys, with_config):
+    """The pipeline's 48-step series at window 12, the default, leaves no
+    training sample once the leakage guard drops boundary-crossing windows."""
+    _, data, _, cfg = pipeline
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "ckpt")]
+    where = "default model config"
+    if with_config:
+        config = json.loads(cfg.read_text())
+        config["model"]["window"] = 12
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        argv += ["--config", str(bad)]
+        where = f"{bad}: section 'model'"
+    code = main(argv)
+    _assert_one_line_usage_error(code, capsys, where, "key 'window' is 12", "48 steps")
     assert not (tmp_path / "ckpt").exists()
 
 
@@ -318,10 +343,14 @@ def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key
      "shape"),
     (lambda m: m["config"].update(heads=0), "heads"),
     (lambda m: m["config"].update(lora_dropout=1.0), "lora_dropout"),
+    (lambda m: m["config"].update(d_modle=64), "d_modle"),
+    (lambda m: m.update(total_bytes=float(m["total_bytes"])), "total_bytes"),
+    (lambda m: m.update(seed=-1), "seed"),
 ], ids=["n_nodes-str", "n_nodes-0", "seed-float", "config-list", "config-field-type",
         "norm_stats-list", "norm_stats-no-std", "norm_stats-shape", "vocab_words-int",
         "adjacency-1x1", "tensors-object", "tensor-no-offset", "tensor-offset-str",
-        "tensor-name-list", "tensor-shape-floats", "config-heads-0", "config-lora_dropout-1"])
+        "tensor-name-list", "tensor-shape-floats", "config-heads-0", "config-lora_dropout-1",
+        "config-unknown-key", "total_bytes-float", "seed-negative"])
 def test_checkpoint_manifest_bad_value_exits_2(pipeline, tmp_path, capsys, edit, key):
     _, data, ckpt, _ = pipeline
     bad = tmp_path / "ckpt"
@@ -347,3 +376,63 @@ def test_dataset_file_wrong_type_exits_2(pipeline, tmp_path, capsys, fname, key,
                                       lambda obj: obj.__setitem__(key, value), line)
     where = [fname, repr(key)] + ([f"line {line}"] if line else [])
     _assert_one_line_usage_error(code, capsys, *where)
+
+
+# values a damaged file may hold in place of the one written
+MUTANTS = ("x", "", 1.5, -1, 0, True, None, [], {}, [1], float("nan"))
+
+
+def _sites(obj, depth=0):
+    """(container, key) for every value reached through object keys and the
+    first item of lists, down to three levels."""
+    for key in sorted(obj) if isinstance(obj, dict) else range(min(len(obj), 1)):
+        yield obj, key
+        if depth < 2 and isinstance(obj[key], (dict, list)):
+            yield from _sites(obj[key], depth + 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_damaged_inputs_exit_0_or_2_with_one_line(pipeline, data):
+    """Property: after one random edit to the dataset or the checkpoint (a
+    key dropped, a value retyped, a file truncated, a NaN speed), ``predict``
+    exits 0 or 2, and a failure is one stderr line without a traceback."""
+    _, dataset, ckpt, _ = pipeline
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(dataset, root / "data")
+        shutil.copytree(ckpt, root / "ckpt")
+        op = data.draw(st.sampled_from(["drop", "retype", "truncate", "nan"]))
+        if op == "truncate":
+            path = root / data.draw(st.sampled_from([
+                "data/manifest.json", "data/speeds.csv", "data/adjacency.json",
+                "data/events.jsonl", "ckpt/manifest.json", "ckpt/params.bin"]))
+            raw = path.read_bytes()
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        elif op == "nan":
+            path = root / "data/speeds.csv"
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            row = rows[data.draw(st.integers(1, len(rows) - 1))]
+            row[data.draw(st.integers(1, len(row) - 1))] = "nan"
+            path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        else:
+            fname, line = data.draw(st.sampled_from([
+                ("data/manifest.json", None), ("data/adjacency.json", None),
+                ("data/events.jsonl", 1), ("ckpt/manifest.json", None)]))
+
+            def edit(obj):
+                container, key = data.draw(st.sampled_from(list(_sites(obj))))
+                if op == "drop":
+                    del container[key]
+                else:
+                    container[key] = data.draw(st.sampled_from(MUTANTS))
+
+            _edit_json(root / fname, edit, line)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["predict", "--ckpt", str(root / "ckpt"), "--data",
+                         str(root / "data"), "--out", str(root / "fc.csv")])
+        assert code in (EXIT_OK, EXIT_USAGE), err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert len(lines) == (code == EXIT_USAGE), lines
+        assert "Traceback" not in err.getvalue()

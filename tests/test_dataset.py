@@ -1,13 +1,16 @@
 """Synthetic dataset generation, windowing, normalization, and file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
 from roadcast.dataset import (EVENT_KINDS, Event, EventLog, NormStats, RoadGraph,
                               Sample, TrafficSeries, default_node_names,
                               denormalize, fit_norm_stats, generate_synthetic,
-                              load_dataset, save_dataset, split_temporal,
-                              windowize, z_normalize)
+                              load_dataset, n_train_samples, require,
+                              save_dataset, split_temporal, windowize,
+                              z_normalize)
 from roadcast.errors import ParameterError, ParseError
 from roadcast.tokenizer import BOS, EOS, PAD, build_vocab, decode, encode
 
@@ -214,9 +217,8 @@ def test_z_normalize_roundtrip():
 
 def test_norm_stats_dict_roundtrip():
     stats = NormStats(mean=np.array([[1.0]]), std=np.array([[2.0]]))
-    again = NormStats.from_dict(stats.to_dict())
-    np.testing.assert_array_equal(again.mean, stats.mean)
-    np.testing.assert_array_equal(again.std, stats.std)
+    written = json.loads(json.dumps(stats.to_dict()))
+    assert written == stats.to_dict() == {"mean": [[1.0]], "std": [[2.0]]}
 
 
 # --- temporal split ----------------------------------------------------------
@@ -239,7 +241,35 @@ def test_split_temporal_needs_two_samples():
         split_temporal([], 0.8)
 
 
+@pytest.mark.parametrize("n_steps,t", [(48, 12), (48, 8), (31, 8), (60, 12), (14, 4),
+                                       (9, 4), (5, 2), (3, 1)])
+def test_n_train_samples_matches_split(n_steps, t):
+    series = TrafficSeries(speeds=np.zeros((n_steps, 1, 1)))
+    samples = windowize(series, EventLog(), build_vocab(["x"]), t)
+    want = len(split_temporal(samples)[0]) if len(samples) >= 2 else 0
+    assert n_train_samples(n_steps, t) == want
+
+
 # --- file I/O ----------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,value,fits", [
+    (int, 3, True), (int, True, False), (int, 3.0, False), (bool, True, True),
+    (bool, 1, False), (float, 2, True), (float, 2.5, True), (float, False, False),
+    (str, "a", True), (str, None, False), ((int, None), None, True),
+    ((int, None), 2, True), ((int, None), "2", False), ([str], ["a", "b"], True),
+    ([str], [], True), ([str], ["a", 1], False), ([str], "ab", False),
+    ([[int]], [[0, 1]], True), ([[int]], [[0, True]], False), (1, 1, True),
+    (1, 0, False), (0, -1, False), (1, 1.0, False), (1, True, False), ([0], [0, 2], True),
+    ([0], [0, -2], False), (list, {}, False), (dict, {}, True),
+])
+def test_require_kinds(kind, value, fits):
+    obj = {"k": value}
+    if fits:
+        assert require(obj, {"k": kind}, "here") is obj
+    else:
+        with pytest.raises(ParseError, match=r"^here: key 'k' must be "):
+            require(obj, {"k": kind}, "here")
+
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path, small):
     graph, series, events = small
@@ -288,7 +318,6 @@ def test_load_rejects_non_numeric_speed(tmp_path, small):
 
 
 def test_load_rejects_self_loop_edge(tmp_path, small):
-    import json
     _write_dataset(tmp_path, small)
     path = tmp_path / "adjacency.json"
     spec = json.loads(path.read_text())
@@ -299,7 +328,6 @@ def test_load_rejects_self_loop_edge(tmp_path, small):
 
 
 def test_load_rejects_duplicate_edge(tmp_path, small):
-    import json
     _write_dataset(tmp_path, small)
     path = tmp_path / "adjacency.json"
     spec = json.loads(path.read_text())
@@ -311,7 +339,6 @@ def test_load_rejects_duplicate_edge(tmp_path, small):
 
 
 def test_load_rejects_out_of_range_edge(tmp_path, small):
-    import json
     _write_dataset(tmp_path, small)
     path = tmp_path / "adjacency.json"
     spec = json.loads(path.read_text())

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from roadcast.dataset import generate_synthetic
+from roadcast.dataset import generate_synthetic, require_config
 from roadcast.errors import ParameterError, ParseError
 from roadcast.model import JointModel, ModelConfig
 from roadcast.numerics import RngState
@@ -188,8 +188,9 @@ def test_model_config_resolved_top_k():
     assert ModelConfig(top_k=7).resolved_top_k() == 7
     assert ModelConfig(top_k=None, hist_text_len=16).resolved_top_k() == 4
     assert ModelConfig(top_k=None, hist_text_len=5).resolved_top_k() == 2
-    cfg = ModelConfig.from_dict({"d_model": 16, "unknown_key": 1})
-    assert cfg.d_model == 16
+    assert require_config({"d_model": 16}, ModelConfig, "cfg").d_model == 16
+    with pytest.raises(ParseError, match="cfg: unknown key 'unknown_key'"):
+        require_config({"d_model": 16, "unknown_key": 1}, ModelConfig, "cfg")
 
 
 def test_train_config_validation():
@@ -197,8 +198,9 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ParameterError):
         TrainConfig(batch=0)
-    cfg = TrainConfig.from_dict({"lr": 0.01, "extra": 5})
-    assert cfg.lr == 0.01
+    assert require_config({"lr": 0.01}, TrainConfig, "cfg").lr == 0.01
+    with pytest.raises(ParseError, match="cfg: unknown key 'extra'"):
+        require_config({"lr": 0.01, "extra": 5}, TrainConfig, "cfg")
 
 
 # --- training determinism ----------------------------------------------------
