@@ -13,13 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import (generate_synthetic, load_dataset, n_train_samples, require,
-                      require_config, save_dataset)
+from .dataset import (generate_synthetic, load_dataset, require, require_config,
+                      save_dataset, split_sizes)
 from .errors import ConfigError, DivergenceError, ParseError, RoadcastError
 from .metrics import validate_report
 from .model import COMPONENTS, JointModel, ModelConfig
-from .training import (TrainConfig, evaluate, forecast_batches, load_checkpoint,
-                       prepare_data, run_ablation, save_checkpoint, train)
+from .training import (TrainConfig, cut_windows, evaluate, forecast_batches,
+                       load_checkpoint, prepare_data, run_ablation, save_checkpoint, train)
 
 COMMANDS = ("gen-data", "train", "predict", "describe", "evaluate", "ablate", "verify")
 
@@ -60,20 +60,25 @@ def _train_inputs(args) -> tuple:
     train_cfg = dataclasses.replace(train_cfg, **{k: v for k, v in flags.items() if v is not None})
     graph, series, events, _ = load_dataset(args.data)
     where = f"{args.config}: section 'model'" if args.config else "default model config"
-    _require_channels(model_cfg, series, where)
-    n_steps = series.speeds.shape[0]
-    if n_train_samples(n_steps, model_cfg.window) < 1:
-        raise ConfigError(f"{where}: key 'window' is {model_cfg.window}, but the dataset's "
-                          f"series of {n_steps} steps leaves no training samples")
+    _require_fit(model_cfg, series, where, training=True)
     return model_cfg, train_cfg, graph, series, events
 
 
-def _require_channels(cfg: ModelConfig, series, where: str) -> None:
-    """ConfigError at ``where`` unless the dataset's speeds have ``cfg.channels`` channels."""
-    have = series.speeds.shape[-1]
+def _require_fit(cfg: ModelConfig, series, where: str, training: bool) -> None:
+    """ConfigError at ``where`` unless the dataset meets ``cfg``: its speeds
+    have ``cfg.channels`` channels and its series holds test windows at
+    ``cfg.window``, and training windows too when ``training``."""
+    n_steps, _, have = series.speeds.shape
     if cfg.channels != have:
         raise ConfigError(f"{where}: key 'channels' is {cfg.channels}, but the dataset's "
                           f"speeds have {have} channel per road")
+    try:
+        n_train, _ = split_sizes(n_steps, cfg.window)
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    if training and n_train < 1:
+        raise ConfigError(f"{where}: key 'window' is {cfg.window}, but the dataset's "
+                          f"series of {n_steps} steps leaves no training samples")
 
 
 def cmd_gen_data(args) -> int:
@@ -107,22 +112,25 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args):
-    model, vocab, stats, manifest = load_checkpoint(args.ckpt)
+    """(model, vocab, stats, test windows, graph) for the eval commands: the
+    ``--data`` windows normalized with the checkpoint's stats and vocabulary."""
+    model, vocab, stats, _ = load_checkpoint(args.ckpt)
     graph, series, events, _ = load_dataset(args.data)
     if graph.n_nodes != model.n_nodes:
         raise RoadcastError(
             f"dataset has {graph.n_nodes} nodes but checkpoint expects {model.n_nodes}")
-    _require_channels(model.config, series, f"{Path(args.ckpt) / 'manifest.json'} key 'config'")
-    data = prepare_data(graph, series, events, model.config)
-    return model, vocab, stats, data, graph
+    _require_fit(model.config, series, f"{Path(args.ckpt) / 'manifest.json'} key 'config'",
+                 training=False)
+    _, test = cut_windows(series, events, vocab, stats, model.config)
+    return model, vocab, stats, test, graph
 
 
 def cmd_predict(args) -> int:
     from .dataset import denormalize
 
-    model, vocab, stats, data, graph = _load_eval_inputs(args)
+    model, vocab, stats, test, graph = _load_eval_inputs(args)
     lines = ["anchor,step," + ",".join(graph.node_names)]
-    for chunk, y_hat in forecast_batches(model, data.test):
+    for chunk, y_hat in forecast_batches(model, test):
         for sample, fc in zip(chunk, denormalize(y_hat, stats)):
             for step, row in enumerate(fc[:, :, 0].tolist()):
                 lines.append(f"{sample.anchor_time},{step}," + ",".join(map(repr, row)))
@@ -134,9 +142,9 @@ def cmd_predict(args) -> int:
 def cmd_describe(args) -> int:
     from .tokenizer import decode
 
-    model, vocab, stats, data, graph = _load_eval_inputs(args)
+    model, vocab, stats, test, graph = _load_eval_inputs(args)
     records = []
-    for chunk, y_hat in forecast_batches(model, data.test):
+    for chunk, y_hat in forecast_batches(model, test):
         seqs = model.decode_reports(y_hat, model.config.future_text_len)
         if model.config.use_importance:
             scores, _ = model.generator.importance.forward(model.conditioning(y_hat))
@@ -154,8 +162,8 @@ def cmd_describe(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, vocab, stats, data, _ = _load_eval_inputs(args)
-    report, _ = evaluate(model, data.test, stats, vocab)
+    model, vocab, stats, test, _ = _load_eval_inputs(args)
+    report, _ = evaluate(model, test, stats, vocab)
     validate_report(report.to_dict())
     report.save(args.out)
     csv_path = Path(args.out).with_name(Path(args.out).stem + "_horizons.csv")

@@ -12,7 +12,7 @@ import typing
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -135,6 +135,8 @@ def generate_synthetic(n_nodes: int, n_steps: int, anomaly_rate: float,
         raise ParameterError(f"anomaly_depth {anomaly_depth} outside (0, 1)")
     if announce_lead < 0 or announce_lead >= n_steps:
         raise ParameterError(f"announce_lead {announce_lead} outside [0, {n_steps})")
+    if seed < 0:
+        raise ParameterError(f"seed {seed} < 0")
 
     rng = RngState(seed)
     graph = _random_graph(n_nodes, rng)
@@ -203,20 +205,14 @@ def windowize(series: TrafficSeries, events: EventLog, vocab: Vocab, t: int,
 STD_FLOOR = 1e-8  # smallest std, so a constant road normalizes to 0, not NaN
 
 
-def fit_norm_stats(speeds: np.ndarray, n_rows: Optional[int] = None) -> NormStats:
-    """Per-node, per-channel moments over the first ``n_rows`` time steps."""
-    rows = speeds if n_rows is None else speeds[:n_rows]
-    mean = rows.mean(axis=0)
-    std = np.maximum(rows.std(axis=0), STD_FLOOR)
-    return NormStats(mean=mean, std=std)
+def fit_norm_stats(speeds: np.ndarray) -> NormStats:
+    """Per-node, per-channel moments over the time axis of ``speeds``."""
+    return NormStats(mean=speeds.mean(axis=0), std=np.maximum(speeds.std(axis=0), STD_FLOOR))
 
 
-def z_normalize(series: TrafficSeries, stats: Optional[NormStats] = None
-                ) -> Tuple[TrafficSeries, NormStats]:
-    if stats is None:
-        stats = fit_norm_stats(series.speeds)
-    normed = (series.speeds - stats.mean) / stats.std
-    return TrafficSeries(speeds=normed, step_minutes=series.step_minutes), stats
+def z_normalize(series: TrafficSeries, stats: NormStats) -> TrafficSeries:
+    return TrafficSeries(speeds=(series.speeds - stats.mean) / stats.std,
+                         step_minutes=series.step_minutes)
 
 
 def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -224,25 +220,17 @@ def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return values * stats.std + stats.mean
 
 
-def split_temporal(samples: Sequence[Sample], ratio: float = 0.8) -> Tuple[List[Sample], List[Sample]]:
-    """First floor(ratio * n) anchors train, rest test; train samples whose
-    future window crosses the boundary are dropped to avoid leakage."""
-    n = len(samples)
-    if n < 2:
-        raise ParameterError(f"split_temporal needs >= 2 samples, got {n}")
-    n_train = int(np.floor(ratio * n))
-    n_train = max(1, min(n_train, n - 1))
-    train, test = list(samples[:n_train]), list(samples[n_train:])
-    boundary = test[0].anchor_time
-    t = train[0].x_hist.shape[0]
-    train = [s for s in train if s.anchor_time + 2 * t <= boundary]
-    return train, test
-
-
-def n_train_samples(n_steps: int, t: int) -> int:
-    """How many training samples `split_temporal` at its default ratio keeps
-    of the windows `windowize` cuts from a series of ``n_steps`` steps."""
-    return max(0, int(np.floor(0.8 * (n_steps - 2 * t + 1))) - 2 * t + 1)
+def split_sizes(n_steps: int, t: int) -> Tuple[int, int]:
+    """(n_train, first_test) of the windows `windowize` cuts at window ``t``
+    from ``n_steps`` steps: test windows start at the 80% anchor
+    ``first_test``; training windows are the first ``n_train`` (maybe 0), the
+    ones whose future ends by it. ConfigError below 2 windows."""
+    n_windows = n_steps - 2 * t + 1
+    if n_windows < 2:
+        raise ConfigError(f"key 'window' is {t}, but the dataset's series of {n_steps} "
+                          f"steps holds fewer than 2 windows of {2 * t} steps")
+    first_test = int(0.8 * n_windows)
+    return max(0, first_test - 2 * t + 1), first_test
 
 
 # --- file formats -----------------------------------------------------------

@@ -13,7 +13,7 @@ training mode.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,49 +45,47 @@ class Module:
         self._children[name] = child
         return child
 
-    def named_params(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for name, arr in self._params.items():
-            yield prefix + name, arr
+    def modules(self, prefix: str = "") -> List[Tuple[str, "Module"]]:
+        """(dotted prefix, module) for this module and every descendant,
+        parents first. A list, not a generator: the per-step walks are cheaper."""
+        found = [(prefix, self)]
         for cname, child in self._children.items():
-            yield from child.named_params(prefix + cname + ".")
+            found += child.modules(prefix + cname + ".")
+        return found
 
-    def named_grads(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for name, arr in self._grads.items():
-            yield prefix + name, arr
-        for cname, child in self._children.items():
-            yield from child.named_grads(prefix + cname + ".")
+    def named_params(self) -> List[Tuple[str, np.ndarray]]:
+        return [(prefix + name, arr) for prefix, m in self.modules()
+                for name, arr in m._params.items()]
 
-    def frozen_names(self, prefix: str = "") -> Iterator[str]:
-        for name in self._frozen:
-            yield prefix + name
-        for cname, child in self._children.items():
-            yield from child.frozen_names(prefix + cname + ".")
+    def named_grads(self) -> List[Tuple[str, np.ndarray]]:
+        return [(prefix + name, arr) for prefix, m in self.modules()
+                for name, arr in m._grads.items()]
+
+    def frozen_names(self) -> List[str]:
+        return [prefix + name for prefix, m in self.modules() for name in m._frozen]
 
     def zero_grad(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
-        for child in self._children.values():
-            child.zero_grad()
+        for _, m in self.modules():
+            for g in m._grads.values():
+                g[...] = 0.0
 
     def set_training(self, flag: bool) -> None:
         """Training mode: each forward keeps what backward needs. Eval mode:
         forwards keep nothing, and the caches of earlier forwards are dropped."""
-        self.training = flag
-        if not flag:
-            self._cache = None
-        for child in self._children.values():
-            child.set_training(flag)
+        for _, m in self.modules():
+            m.training = flag
+            if not flag:
+                m._cache = None
 
     def set_freeze_masks(self, flag: bool) -> None:
         """Freeze discrete selections (Top-K, top-30%) at their next computed value.
 
         Used by the finite-difference harness so perturbations cannot flip masks.
         """
-        self.freeze_masks = flag
-        if not flag:
-            self._clear_mask_cache()
-        for child in self._children.values():
-            child.set_freeze_masks(flag)
+        for _, m in self.modules():
+            m.freeze_masks = flag
+            if not flag:
+                m._clear_mask_cache()
 
     def _clear_mask_cache(self) -> None:  # overridden by mask-carrying modules
         pass
@@ -180,14 +178,14 @@ class Embedding(Module):
     def __init__(self, n_tokens: int, d_model: int, rng: RngState) -> None:
         super().__init__()
         self.w = self.add_param("w", rng.normal((n_tokens, d_model), scale=0.1))
-        self._ids: Optional[np.ndarray] = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        self._ids = np.asarray(ids, dtype=np.int64)
-        return self.w[self._ids]
+        ids = np.asarray(ids, dtype=np.int64)
+        self._cache = ids if self.training else None
+        return self.w[ids]
 
     def backward(self, dy: np.ndarray) -> None:
-        np.add.at(self._grads["w"], self._ids.reshape(-1), dy.reshape(-1, dy.shape[-1]))
+        np.add.at(self._grads["w"], self._cache.reshape(-1), dy.reshape(-1, dy.shape[-1]))
         return None
 
 

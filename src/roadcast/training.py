@@ -13,9 +13,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import (EVENT_KINDS, EventLog, NormStats, RoadGraph, Sample,
+from .dataset import (EVENT_KINDS, STD_FLOOR, EventLog, NormStats, RoadGraph, Sample,
                       TrafficSeries, denormalize, fit_norm_stats, require,
-                      require_config, split_temporal, windowize, z_normalize)
+                      require_config, split_sizes, windowize, z_normalize)
 from .errors import DivergenceError, ParameterError, ParseError
 from .metrics import MetricReport, evaluate_run
 from .model import COMPONENTS, JointModel, ModelConfig
@@ -38,9 +38,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.lr > 0:
             raise ParameterError(f"key 'lr' must be positive, got {self.lr!r}")
-        for key in ("batch", "epochs"):
-            if getattr(self, key) < 1:
-                raise ParameterError(f"key {key!r} must be >= 1, got {getattr(self, key)!r}")
+        for key, low in (("batch", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ParameterError(f"key {key!r} must be >= {low}, got {getattr(self, key)!r}")
 
 
 # --- losses -----------------------------------------------------------------
@@ -176,7 +176,6 @@ class PreparedData:
     stats: NormStats
     train: List[Sample]
     test: List[Sample]
-    graph: RoadGraph
 
 
 def closed_corpus(graph: RoadGraph) -> List[str]:
@@ -186,21 +185,24 @@ def closed_corpus(graph: RoadGraph) -> List[str]:
 
 
 def prepare_data(graph: RoadGraph, series: TrafficSeries, events: EventLog,
-                 cfg: ModelConfig, ratio: float = 0.8) -> PreparedData:
+                 cfg: ModelConfig) -> PreparedData:
+    """The closed vocabulary, stats fitted before the first test window, and `cut_windows`."""
     vocab = build_vocab(closed_corpus(graph), min_freq=1)
-    t = cfg.window
-    total = series.speeds.shape[0]
-    n_samples = total - 2 * t + 1
-    if n_samples < 2:
-        raise ParameterError("series too short to windowize")
-    boundary = int(np.floor(ratio * n_samples))  # anchor of the first test sample
-    stats = fit_norm_stats(series.speeds, n_rows=boundary)
-    normed, _ = z_normalize(series, stats=stats)
-    samples = windowize(normed, events, vocab, t,
+    _, first_test = split_sizes(series.speeds.shape[0], cfg.window)
+    stats = fit_norm_stats(series.speeds[:first_test])
+    train, test = cut_windows(series, events, vocab, stats, cfg)
+    return PreparedData(vocab=vocab, stats=stats, train=train, test=test)
+
+
+def cut_windows(series: TrafficSeries, events: EventLog, vocab: Vocab, stats: NormStats,
+                cfg: ModelConfig) -> Tuple[List[Sample], List[Sample]]:
+    """(train, test) windows of ``series`` normalized with ``stats`` and its
+    event texts encoded with ``vocab``, split by `split_sizes`."""
+    n_train, first_test = split_sizes(series.speeds.shape[0], cfg.window)
+    samples = windowize(z_normalize(series, stats), events, vocab, cfg.window,
                         hist_text_len=cfg.hist_text_len,
                         future_text_len=cfg.future_text_len)
-    train, test = split_temporal(samples, ratio)
-    return PreparedData(vocab=vocab, stats=stats, train=train, test=test, graph=graph)
+    return samples[:n_train], samples[first_test:]
 
 
 def batchify(samples: Sequence[Sample]) -> Dict[str, np.ndarray]:
@@ -367,6 +369,8 @@ def load_checkpoint(ckpt_dir) -> Tuple[JointModel, Vocab, NormStats, dict]:
     norm = require(manifest["norm_stats"], {"mean": list, "std": list}, norm_where)
     stats = NormStats(mean=_number_array(norm, "mean", (n, 1), norm_where),
                       std=_number_array(norm, "std", (n, 1), norm_where))
+    if not np.all(stats.std >= STD_FLOOR):  # it divides every input speed
+        raise ParseError(f"{norm_where}: key 'std' must hold numbers >= {STD_FLOOR}")
     a_hat = _number_array(manifest, "physical_adjacency", (n, n), where)
     for i, entry in enumerate(manifest["tensors"]):
         require(entry, {"name": str, "shape": [0], "offset": 0}, f"{where} tensor {i}")
@@ -432,9 +436,9 @@ def run_ablation(graph: RoadGraph, series: TrafficSeries, events: EventLog,
     """Train one model per `table_grid` row on the shared split, evaluate each
     on the shared test set, and emit Table-style rows."""
     rows = []
+    data = prepare_data(graph, series, events, model_cfg)
     for label, flags in table_grid():
         cfg = dataclasses.replace(model_cfg, **flags)
-        data = prepare_data(graph, series, events, cfg)
         model = JointModel(cfg, vocab_size=len(data.vocab), n_nodes=graph.n_nodes,
                            physical_adjacency=graph.adjacency, seed=train_cfg.seed)
         train(model, data.train, train_cfg)

@@ -7,13 +7,18 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadcast.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE,
                           main)
+from roadcast.dataset import denormalize, load_dataset
 from roadcast.metrics import validate_report
+from roadcast.tokenizer import decode
+from roadcast.training import (cut_windows, evaluate, forecast_batches,
+                               load_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,7 @@ def test_bad_config_file_exits_2(pipeline, tmp_path, capsys, config, needle):
     ("model", {"lora_dropout": 1.0}, "'lora_dropout'"), ("model", {"top_k": 9}, "'top_k'"),
     ("model", {"future_text_len": 2}, "'future_text_len'"),
     ("model", {"channels": 2}, "'channels'"), ("train", {"lr": 0}, "'lr'"),
+    ("train", {"seed": -1}, "'seed'"),
 ])
 def test_out_of_range_config_value_exits_2(pipeline, tmp_path, capsys, section, values,
                                            needle):
@@ -168,6 +174,76 @@ def test_window_leaving_no_training_samples_exits_2(pipeline, tmp_path, capsys, 
     code = main(argv)
     _assert_one_line_usage_error(code, capsys, where, "key 'window' is 12", "48 steps")
     assert not (tmp_path / "ckpt").exists()
+
+
+def test_eval_on_a_series_too_short_for_the_window_exits_2(pipeline, tmp_path, capsys):
+    """A 16-step copy of the dataset holds one window of the checkpoint's 2 * 8 steps."""
+    _, data, ckpt, _ = pipeline
+    short = tmp_path / "data"
+    shutil.copytree(data, short)
+    rows = (short / "speeds.csv").read_text().splitlines()[:1 + 16]
+    (short / "speeds.csv").write_text("\n".join(rows) + "\n")
+    events = [line for line in (short / "events.jsonl").read_text().splitlines()
+              if json.loads(line)["t"] < 16]
+    (short / "events.jsonl").write_text("".join(line + "\n" for line in events))
+    code = main(["predict", "--ckpt", str(ckpt), "--data", str(short),
+                 "--out", str(tmp_path / "fc.csv")])
+    _assert_one_line_usage_error(code, capsys, f"{ckpt / 'manifest.json'} key 'config'",
+                                 "key 'window' is 8", "16 steps")
+    assert not (tmp_path / "fc.csv").exists()
+
+
+def test_eval_on_another_dataset_uses_the_checkpoints_stats(pipeline, tmp_path):
+    """``predict``/``describe``/``evaluate`` on a dataset other than the
+    training one (same roads, another seed) match in-process results on its
+    windows normalized with the checkpoint's stats and encoded with its
+    vocabulary."""
+    _, _, ckpt, _ = pipeline
+    other = tmp_path / "data"
+    assert main(["gen-data", "--nodes", "4", "--steps", "48", "--seed", "7",
+                 "--out", str(other)]) == EXIT_OK
+    for cmd, name in (("predict", "fc.csv"), ("describe", "reports.jsonl"),
+                      ("evaluate", "report.json")):
+        assert main([cmd, "--ckpt", str(ckpt), "--data", str(other),
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+    model, vocab, stats, _ = load_checkpoint(ckpt)
+    _, series, events, _ = load_dataset(other)
+    _, test = cut_windows(series, events, vocab, stats, model.config)
+    forecasts, texts = [], []
+    for _, y_hat in forecast_batches(model, test):
+        forecasts.append(y_hat)
+        texts += [decode(seq, vocab) for seq in
+                  model.decode_reports(y_hat, model.config.future_text_len)]
+    want = denormalize(np.concatenate(forecasts), stats)[..., 0]
+
+    rows = [line.split(",") for line in (tmp_path / "fc.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows[::model.config.window]] == [s.anchor_time for s in test]
+    got = np.array([[float(v) for v in r[2:]] for r in rows]).reshape(want.shape)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    records = [json.loads(line) for line in
+               (tmp_path / "reports.jsonl").read_text().splitlines()]
+    assert [(r["anchor"], r["text"]) for r in records] == [
+        (s.anchor_time, text) for s, text in zip(test, texts)]
+
+    report, _ = evaluate(model, test, stats, vocab)
+    written = json.loads((tmp_path / "report.json").read_text())
+    for horizon, values in report.to_dict()["pred"].items():
+        for metric, value in values.items():
+            assert written["pred"][horizon][metric] == pytest.approx(value, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+def test_negative_seed_exits_2(pipeline, tmp_path, capsys, command):
+    _, data, _, cfg = pipeline
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = [command, "--nodes", "4", "--steps", "48"]
+    else:
+        argv = [command, "--data", str(data), "--config", str(cfg)]
+    code = main(argv + ["--seed", "-1", "--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, "seed", "-1")
+    assert not out.exists()
 
 
 def test_unknown_ablation_flag_exits_2(pipeline, tmp_path):
@@ -346,11 +422,12 @@ def test_checkpoint_manifest_missing_key_exits_2(pipeline, tmp_path, capsys, key
     (lambda m: m["config"].update(d_modle=64), "d_modle"),
     (lambda m: m.update(total_bytes=float(m["total_bytes"])), "total_bytes"),
     (lambda m: m.update(seed=-1), "seed"),
+    (lambda m: m["norm_stats"].update(std=[[1.0], [0.0], [1.0], [1.0]]), "std"),
 ], ids=["n_nodes-str", "n_nodes-0", "seed-float", "config-list", "config-field-type",
         "norm_stats-list", "norm_stats-no-std", "norm_stats-shape", "vocab_words-int",
         "adjacency-1x1", "tensors-object", "tensor-no-offset", "tensor-offset-str",
         "tensor-name-list", "tensor-shape-floats", "config-heads-0", "config-lora_dropout-1",
-        "config-unknown-key", "total_bytes-float", "seed-negative"])
+        "config-unknown-key", "total_bytes-float", "seed-negative", "norm_stats-std-0"])
 def test_checkpoint_manifest_bad_value_exits_2(pipeline, tmp_path, capsys, edit, key):
     _, data, ckpt, _ = pipeline
     bad = tmp_path / "ckpt"

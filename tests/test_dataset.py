@@ -8,10 +8,9 @@ import pytest
 from roadcast.dataset import (EVENT_KINDS, Event, EventLog, NormStats, RoadGraph,
                               Sample, TrafficSeries, default_node_names,
                               denormalize, fit_norm_stats, generate_synthetic,
-                              load_dataset, n_train_samples, require,
-                              save_dataset, split_temporal, windowize,
-                              z_normalize)
-from roadcast.errors import ParameterError, ParseError
+                              load_dataset, require, save_dataset, split_sizes,
+                              windowize, z_normalize)
+from roadcast.errors import ConfigError, ParameterError, ParseError
 from roadcast.tokenizer import BOS, EOS, PAD, build_vocab, decode, encode
 
 
@@ -201,7 +200,7 @@ def test_windowize_too_short_series():
 
 def test_fit_norm_stats_uses_prefix_rows_only():
     speeds = np.concatenate([np.full((10, 2, 1), 5.0), np.full((10, 2, 1), 100.0)])
-    stats = fit_norm_stats(speeds, n_rows=10)
+    stats = fit_norm_stats(speeds[:10])
     np.testing.assert_allclose(stats.mean, 5.0)
     # zero variance clamps to eps
     assert np.all(stats.std == 1e-8)
@@ -210,7 +209,8 @@ def test_fit_norm_stats_uses_prefix_rows_only():
 def test_z_normalize_roundtrip():
     rng = np.random.default_rng(0)
     series = TrafficSeries(speeds=rng.uniform(20, 60, size=(30, 3, 1)))
-    normed, stats = z_normalize(series)
+    stats = fit_norm_stats(series.speeds)
+    normed = z_normalize(series, stats)
     np.testing.assert_allclose(normed.speeds.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(denormalize(normed.speeds, stats), series.speeds, atol=1e-9)
 
@@ -223,31 +223,38 @@ def test_norm_stats_dict_roundtrip():
 
 # --- temporal split ----------------------------------------------------------
 
-def test_split_temporal_80_20_and_leakage_guard(small):
+def test_split_sizes_80_20_and_leakage_guard(small):
     graph, series, events = small
-    vocab = build_vocab(["x"])
-    samples = windowize(series, events, vocab, 12)
-    train, test = split_temporal(samples, 0.8)
-    boundary = test[0].anchor_time
-    assert len(train) + len(test) <= len(samples)
-    assert all(s.anchor_time + 24 <= boundary for s in train)
-    assert all(s.anchor_time >= boundary for s in test)
-    # the dropped samples are exactly the boundary-crossing train candidates
-    assert len(test) == len(samples) - int(np.floor(0.8 * len(samples)))
+    samples = windowize(series, events, build_vocab(["x"]), 12)
+    n_train, first_test = split_sizes(80, 12)
+    assert first_test == int(np.floor(0.8 * len(samples)))
+    train, test = samples[:n_train], samples[first_test:]
+    assert all(s.anchor_time + 24 <= first_test for s in train)
+    assert [s.anchor_time for s in test] == list(range(first_test, len(samples)))
+    # the dropped windows are exactly the boundary-crossing train candidates
+    assert all(s.anchor_time + 24 > first_test for s in samples[n_train:first_test])
 
 
-def test_split_temporal_needs_two_samples():
-    with pytest.raises(ParameterError):
-        split_temporal([], 0.8)
+def test_split_sizes_needs_two_windows():
+    for n_steps, t in [(16, 8), (15, 8), (1, 1), (0, 4)]:
+        with pytest.raises(ConfigError, match=f"key 'window' is {t}, .* {n_steps} steps"):
+            split_sizes(n_steps, t)
+    assert split_sizes(17, 8) == (0, 1)
 
 
 @pytest.mark.parametrize("n_steps,t", [(48, 12), (48, 8), (31, 8), (60, 12), (14, 4),
                                        (9, 4), (5, 2), (3, 1)])
 def test_n_train_samples_matches_split(n_steps, t):
+    """`split_sizes` against the windows `windowize` cuts: the first test
+    anchor is the 80% boundary, and the training windows are exactly the
+    earlier windows whose future ends by it."""
     series = TrafficSeries(speeds=np.zeros((n_steps, 1, 1)))
     samples = windowize(series, EventLog(), build_vocab(["x"]), t)
-    want = len(split_temporal(samples)[0]) if len(samples) >= 2 else 0
-    assert n_train_samples(n_steps, t) == want
+    n_train, first_test = split_sizes(n_steps, t)
+    assert first_test == int(np.floor(0.8 * len(samples))) >= 1
+    assert first_test < len(samples)
+    kept = [s.anchor_time for s in samples[:first_test] if s.anchor_time + 2 * t <= first_test]
+    assert kept == list(range(n_train))
 
 
 # --- file I/O ----------------------------------------------------------------

@@ -86,6 +86,16 @@ def test_named_params_use_dotted_paths():
     assert names == {"inner.w", "inner.b"}
 
 
+def test_modules_walk_parents_first():
+    rng = RngState(0)
+    outer = Module()
+    mid = outer.add_child("mid", Module())
+    mid.add_child("lin", Linear(2, 2, rng))
+    outer.add_child("emb", Embedding(3, 2, rng))
+    assert [(prefix, type(m).__name__) for prefix, m in outer.modules()] == [
+        ("", "Module"), ("mid.", "Module"), ("mid.lin.", "Linear"), ("emb.", "Embedding")]
+
+
 def test_zero_grad_recurses():
     rng = RngState(0)
     lin = Linear(2, 2, rng)

@@ -237,19 +237,15 @@ def test_train_max_steps_stops_early(tiny_cfg):
 # --- eval mode keeps no backward caches --------------------------------------
 
 # What a module holds between calls that is not a backward cache: parameters,
-# children, the LoRA rng, the masks the gradient harness freezes, and the ids
-# Embedding's own forward indexes with.
-MODULE_STATE = {"_params", "_grads", "_frozen", "_children", "_rng", "_mask_cache", "_ids"}
+# children, the LoRA rng and the masks the gradient harness freezes.
+MODULE_STATE = {"_params", "_grads", "_frozen", "_children", "_rng", "_mask_cache"}
 
 
-def held_caches(module, prefix=""):
-    """Dotted names of the private attributes of ``module`` and its children
-    that hold anything beyond MODULE_STATE."""
-    held = [prefix + name for name, value in vars(module).items()
+def held_caches(module):
+    """Dotted names of the private attributes of ``module`` and its
+    descendants that hold anything beyond MODULE_STATE."""
+    return [prefix + name for prefix, m in module.modules() for name, value in vars(m).items()
             if name.startswith("_") and name not in MODULE_STATE and value is not None]
-    for cname, child in module._children.items():
-        held += held_caches(child, f"{prefix}{cname}.")
-    return held
 
 
 @pytest.mark.parametrize("train_first,decode", [(False, False), (True, False), (True, True)],
@@ -264,7 +260,8 @@ def test_eval_forwards_keep_no_backward_cache(tiny_cfg, train_first, decode):
                 "predictor.block0.attn_node._cache", "align._cache", "film._cache",
                 "gcn._cache", "generator.importance._cache", "generator.xattn._cache",
                 "generator.memory._cache", "predictor._cache", "predictor.patch_embed._cache",
-                "predictor.block0._cache", "text_encoder._cache"} <= set(held_caches(model))
+                "predictor.block0._cache", "text_encoder._cache",
+                "text_encoder.embed._cache"} <= set(held_caches(model))
     for _, y_hat in forecast_batches(model, data.test[:4]):
         if decode:
             model.decode_reports(y_hat, tiny_cfg.future_text_len)
