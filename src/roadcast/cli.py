@@ -19,7 +19,8 @@ from .errors import ConfigError, DivergenceError, ParseError, RoadcastError
 from .metrics import validate_report
 from .model import COMPONENTS, JointModel, ModelConfig
 from .training import (TrainConfig, cut_windows, evaluate, forecast_batches,
-                       load_checkpoint, prepare_data, run_ablation, save_checkpoint, train)
+                       load_checkpoint, prepare_data, report_batches, run_ablation,
+                       save_checkpoint, train)
 
 COMMANDS = ("gen-data", "train", "predict", "describe", "evaluate", "ablate", "verify")
 
@@ -121,7 +122,7 @@ def _load_eval_inputs(args):
             f"dataset has {graph.n_nodes} nodes but checkpoint expects {model.n_nodes}")
     _require_fit(model.config, series, f"{Path(args.ckpt) / 'manifest.json'} key 'config'",
                  training=False)
-    _, test = cut_windows(series, events, vocab, stats, model.config)
+    test = cut_windows(series, events, vocab, stats, model.config, test=True)
     return model, vocab, stats, test, graph
 
 
@@ -144,8 +145,7 @@ def cmd_describe(args) -> int:
 
     model, vocab, stats, test, graph = _load_eval_inputs(args)
     records = []
-    for chunk, y_hat in forecast_batches(model, test):
-        seqs = model.decode_reports(y_hat, model.config.future_text_len)
+    for chunk, y_hat, seqs in report_batches(model, test):
         if model.config.use_importance:
             scores, _ = model.generator.importance.forward(model.conditioning(y_hat))
             selected = model.generator.importance.selected_indices(scores)

@@ -172,8 +172,11 @@ def generate_synthetic(n_nodes: int, n_steps: int, anomaly_rate: float,
 
 
 def windowize(series: TrafficSeries, events: EventLog, vocab: Vocab, t: int,
-              hist_text_len: int = 16, future_text_len: int = 24) -> List[Sample]:
-    """One sample per anchor in [0, T - 2t], stride 1.
+              hist_text_len: int = 16, future_text_len: int = 24,
+              anchors: slice = slice(None)) -> List[Sample]:
+    """One sample per anchor in [0, T - 2t], stride 1, cut only for the
+    anchors that ``anchors`` selects: the result equals the full list
+    sliced by ``anchors``.
 
     Text windows concatenate all event texts whose onset falls inside the
     respective window, in time order.
@@ -191,7 +194,7 @@ def windowize(series: TrafficSeries, events: EventLog, vocab: Vocab, t: int,
         return ". ".join(e.text for e in ordered[lo:hi])
 
     samples = []
-    for a in range(total - 2 * t + 1):
+    for a in range(total - 2 * t + 1)[anchors]:
         samples.append(Sample(
             x_hist=series.speeds[a:a + t].copy(),
             text_hist=encode(texts(a, a + t), vocab, hist_text_len),

@@ -190,19 +190,21 @@ def prepare_data(graph: RoadGraph, series: TrafficSeries, events: EventLog,
     vocab = build_vocab(closed_corpus(graph), min_freq=1)
     _, first_test = split_sizes(series.speeds.shape[0], cfg.window)
     stats = fit_norm_stats(series.speeds[:first_test])
-    train, test = cut_windows(series, events, vocab, stats, cfg)
-    return PreparedData(vocab=vocab, stats=stats, train=train, test=test)
+    return PreparedData(vocab=vocab, stats=stats,
+                        train=cut_windows(series, events, vocab, stats, cfg, test=False),
+                        test=cut_windows(series, events, vocab, stats, cfg, test=True))
 
 
 def cut_windows(series: TrafficSeries, events: EventLog, vocab: Vocab, stats: NormStats,
-                cfg: ModelConfig) -> Tuple[List[Sample], List[Sample]]:
-    """(train, test) windows of ``series`` normalized with ``stats`` and its
-    event texts encoded with ``vocab``, split by `split_sizes`."""
+                cfg: ModelConfig, test: bool) -> List[Sample]:
+    """The training windows of ``series`` (the first ``n_train`` of
+    `split_sizes`), or with ``test`` its test windows (from anchor
+    ``first_test`` on), normalized with ``stats`` and their event texts
+    encoded with ``vocab``. Only those anchors are windowized."""
     n_train, first_test = split_sizes(series.speeds.shape[0], cfg.window)
-    samples = windowize(z_normalize(series, stats), events, vocab, cfg.window,
-                        hist_text_len=cfg.hist_text_len,
-                        future_text_len=cfg.future_text_len)
-    return samples[:n_train], samples[first_test:]
+    return windowize(z_normalize(series, stats), events, vocab, cfg.window,
+                     hist_text_len=cfg.hist_text_len, future_text_len=cfg.future_text_len,
+                     anchors=slice(first_test, None) if test else slice(n_train))
 
 
 def batchify(samples: Sequence[Sample]) -> Dict[str, np.ndarray]:
@@ -281,6 +283,11 @@ def train_step(model: JointModel, opt: Adam, batch: Dict[str, np.ndarray],
 # --- evaluation -------------------------------------------------------------
 
 EVAL_BATCH = 16
+# Windows per greedy decode. A decode step makes a dozen small array calls
+# whose overhead outweighs their arithmetic at 16 rows; 256 rows of decode
+# state at 256 roads is a few tens of MB. A multiple of EVAL_BATCH, so the
+# forecast batches, and their bits, do not move.
+DECODE_BATCH = 256
 
 
 def forecast_batches(model: JointModel, samples: Sequence[Sample]
@@ -294,16 +301,26 @@ def forecast_batches(model: JointModel, samples: Sequence[Sample]
         yield chunk, model.forward_predict(batch["x_hist"], batch["text_hist"])
 
 
+def report_batches(model: JointModel, samples: Sequence[Sample]
+                   ) -> Iterator[Tuple[Sequence[Sample], np.ndarray, List[List[int]]]]:
+    """Yields (chunk, normalized forecast, report token lists) for consecutive
+    chunks of DECODE_BATCH samples, forecast by `forecast_batches` and then
+    decoded greedily in one batch."""
+    for start in range(0, len(samples), DECODE_BATCH):
+        chunk = samples[start:start + DECODE_BATCH]
+        y_hat = np.concatenate([y for _, y in forecast_batches(model, chunk)])
+        yield chunk, y_hat, model.decode_reports(y_hat, model.config.future_text_len)
+
+
 def evaluate(model: JointModel, test_samples: Sequence[Sample], stats: NormStats,
              vocab: Vocab, horizons: Sequence[int] = (5, 10, 15)
              ) -> Tuple[MetricReport, dict]:
     """Forecast metrics on denormalized values; reports decoded greedily from
     the model's own forecasts (not the ground truth)."""
     forecasts, gen_texts = [], []
-    max_len = model.config.future_text_len
-    for _, y_hat in forecast_batches(model, test_samples):
+    for _, y_hat, seqs in report_batches(model, test_samples):
         forecasts.append(y_hat)
-        gen_texts.extend(model.decode_reports(y_hat, max_len))
+        gen_texts.extend(seqs)
     y_hat_all = np.concatenate(forecasts, axis=0)
     y_true_all = np.stack([s.y_future for s in test_samples])
     hyp_words = [decode(g, vocab).split() for g in gen_texts]

@@ -208,7 +208,7 @@ def test_eval_on_another_dataset_uses_the_checkpoints_stats(pipeline, tmp_path):
                      "--out", str(tmp_path / name)]) == EXIT_OK
     model, vocab, stats, _ = load_checkpoint(ckpt)
     _, series, events, _ = load_dataset(other)
-    _, test = cut_windows(series, events, vocab, stats, model.config)
+    test = cut_windows(series, events, vocab, stats, model.config, test=True)
     forecasts, texts = [], []
     for _, y_hat in forecast_batches(model, test):
         forecasts.append(y_hat)

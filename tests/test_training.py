@@ -1,21 +1,25 @@
 """Losses, optimizer, schedule, gradient harness, training determinism,
-checkpoint roundtrips, and the ablation grid."""
+eval windows and report batches, checkpoint roundtrips, and the ablation
+grid."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from roadcast.dataset import generate_synthetic, require_config
+from roadcast import training
+from roadcast.dataset import (generate_synthetic, require_config, split_sizes, windowize,
+                              z_normalize)
 from roadcast.errors import ParameterError, ParseError
 from roadcast.model import JointModel, ModelConfig
 from roadcast.numerics import RngState
-from roadcast.tokenizer import PAD
-from roadcast.training import (Adam, TrainConfig, batchify, cross_entropy_loss,
-                               evaluate, forecast_batches, forward_backward,
-                               grad_check, joint_loss, load_checkpoint,
-                               lr_schedule, mse_loss, prepare_data,
-                               save_checkpoint, table_grid, train)
+from roadcast.tokenizer import EOS, PAD
+from roadcast.training import (DECODE_BATCH, EVAL_BATCH, Adam, TrainConfig, batchify,
+                               cross_entropy_loss, cut_windows, evaluate,
+                               forecast_batches, forward_backward, grad_check,
+                               joint_loss, load_checkpoint, lr_schedule, mse_loss,
+                               prepare_data, report_batches, save_checkpoint,
+                               table_grid, train)
 
 
 def tiny_setup(cfg, seed=0, n_steps=48):
@@ -184,6 +188,24 @@ def test_batchify_shapes(tiny_cfg):
     assert batch["text_future"].shape == (3, 10)
 
 
+@pytest.mark.parametrize("n_steps", [48, 240])
+def test_cut_windows_match_full_series_oracle(tiny_cfg, n_steps):
+    """Training and test windows (the eval path's) equal the windows
+    `windowize` cuts at every anchor of the series, sliced by `split_sizes`:
+    every field of every Sample."""
+    _, series, events, data, _ = tiny_setup(tiny_cfg, n_steps=n_steps)
+    n_train, first_test = split_sizes(n_steps, tiny_cfg.window)
+    every = windowize(z_normalize(series, data.stats), events, data.vocab, tiny_cfg.window,
+                      tiny_cfg.hist_text_len, tiny_cfg.future_text_len)
+    for test, want in ((False, every[:n_train]), (True, every[first_test:])):
+        got = cut_windows(series, events, data.vocab, data.stats, tiny_cfg, test=test)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(w):
+                np.testing.assert_array_equal(getattr(g, f.name), getattr(w, f.name),
+                                              err_msg=f"anchor {w.anchor_time} {f.name}")
+
+
 def test_model_config_resolved_top_k():
     assert ModelConfig(top_k=7).resolved_top_k() == 7
     assert ModelConfig(top_k=None, hist_text_len=16).resolved_top_k() == 4
@@ -234,6 +256,30 @@ def test_train_max_steps_stops_early(tiny_cfg):
     assert len(trace) == 1  # stopped inside the first epoch
 
 
+# --- report batches ----------------------------------------------------------
+
+def test_report_batches_match_per_batch_forecast_and_decode(tiny_cfg, monkeypatch):
+    """Decode chunks of 32 over 45 test windows (the second chunk partial)
+    yield the forecasts of `forecast_batches` and the reports `decode_reports`
+    gives per forecast batch of 16, with reports that end at different steps."""
+    assert DECODE_BATCH % EVAL_BATCH == 0
+    _, _, _, data, model = tiny_setup(tiny_cfg, n_steps=240)
+    model.generator.lm_head.b[EOS] += 0.5  # some reports stop early, the rest at max_len
+    forecasts, want = [], []
+    for _, y_hat in forecast_batches(model, data.test):
+        forecasts.append(y_hat)
+        want += model.decode_reports(y_hat, tiny_cfg.future_text_len)
+    assert len({len(seq) for seq in want}) > 1
+    monkeypatch.setattr(training, "DECODE_BATCH", 32)
+    chunks = list(report_batches(model, data.test))
+    assert [len(chunk) for chunk, _, _ in chunks] == [32, 13]
+    assert all(got is sample for got, sample in
+               zip([s for chunk, _, _ in chunks for s in chunk], data.test))
+    np.testing.assert_array_equal(np.concatenate([y for _, y, _ in chunks]),
+                                  np.concatenate(forecasts))
+    assert [seq for _, _, seqs in chunks for seq in seqs] == want
+
+
 # --- eval mode keeps no backward caches --------------------------------------
 
 # What a module holds between calls that is not a backward cache: parameters,
@@ -262,9 +308,8 @@ def test_eval_forwards_keep_no_backward_cache(tiny_cfg, train_first, decode):
                 "generator.memory._cache", "predictor._cache", "predictor.patch_embed._cache",
                 "predictor.block0._cache", "text_encoder._cache",
                 "text_encoder.embed._cache"} <= set(held_caches(model))
-    for _, y_hat in forecast_batches(model, data.test[:4]):
-        if decode:
-            model.decode_reports(y_hat, tiny_cfg.future_text_len)
+    for _ in (report_batches if decode else forecast_batches)(model, data.test[:4]):
+        pass
     assert held_caches(model) == []
 
 
