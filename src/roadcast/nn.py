@@ -298,6 +298,10 @@ def softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
 
 
+# Query rows per block of an eval-mode `MultiHeadAttention.attend`.
+QUERY_BLOCK = 32
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product multi-head attention with optional additive mask.
 
@@ -338,15 +342,33 @@ class MultiHeadAttention(Module):
         return k, split_heads(self.wv.forward(kv_in), self.h)
 
     def attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-               mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+               mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Split-head q [B, h, Lq, dh] over k, v [B, h, Lk, dh] -> (output [B, Lq, D],
-        attention weights [B, h, Lq, Lk])."""
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores /= np.sqrt(self.dh)
-        if mask is not None:
-            scores += mask
-        p = softmax_rows(scores)
-        return self.wo.forward(merge_heads(p @ v)), p
+        attention weights [B, h, Lq, Lk] in training mode, None in eval mode).
+
+        ``mask`` is additive, with 1 or Lq query rows. In eval mode the queries
+        go in blocks of QUERY_BLOCK rows, so no array holds the whole
+        [B, h, Lq, Lk] score tensor; each block holds whole rows, so the
+        softmax is the same. In training mode one block spans every row.
+        """
+        b, h, lq, _ = q.shape
+        dv = v.shape[-1]
+        span = max(lq, 1)  # an empty query runs one empty block, so training still returns p
+        block = span if self.training else QUERY_BLOCK
+        kt = k.transpose(0, 1, 3, 2)
+        # filled block by block in merged [B, Lq, h, dh] order, so merge_heads is a reshape
+        ctx = np.empty((b, lq, h, dv))
+        for start in range(0, span, block):
+            rows = slice(start, start + block)
+            # one name for the scores and their softmax: at most two blocks live
+            p = q[:, :, rows] @ kt
+            p /= np.sqrt(self.dh)
+            if mask is not None:
+                p += mask if mask.shape[-2] == 1 else mask[..., rows, :]
+            p = softmax_rows(p)
+            ctx[:, rows] = (p @ v).transpose(0, 2, 1, 3)
+        out = self.wo.forward(ctx.reshape(b, lq, h * dv))
+        return out, p if self.training else None
 
     def step(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray, pos: int) -> np.ndarray:
         """Causal self-attention of one new position per row, x [B, 1, D] at ``pos``.

@@ -13,7 +13,7 @@ import numpy as np
 from .fusion import SparseAlign
 from .metrics import bleu4, lcs_length, meteor, rouge_l
 from .model import JointModel, ModelConfig
-from .nn import MultiHeadAttention
+from .nn import QUERY_BLOCK, MultiHeadAttention, causal_mask
 from .numerics import RngState, softmax_rows
 from .tokenizer import BOS, EOS, PAD
 from .training import forward_backward, grad_check
@@ -47,14 +47,24 @@ def _naive_mhsa(x, kv, wq, wk, wv, wo, heads, mask=None):
 
 
 def check_mhsa_oracle(seed: int = 0, tol: float = 1e-12) -> List[str]:
+    """Training-mode attention at length 5, and eval-mode causal attention at
+    QUERY_BLOCK + 5 (a full query block and a ragged one), against the loop."""
     rng = RngState(seed)
-    d, h, length = 8, 2, 5
+    d, h = 8, 2
     attn = MultiHeadAttention(d, h, rng)
-    x = rng.normal((1, length, d))
-    got = attn.forward(x, x)[0]
-    want = _naive_mhsa(x[0], x[0], attn.wq.w, attn.wk.w, attn.wv.w, attn.wo.w, h)
-    diff = float(np.max(np.abs(got - want)))
-    return [] if diff < tol else [f"mhsa vs naive loop oracle: max abs diff {diff:.3g}"]
+    failures = []
+    for training, length, mask in ((True, 5, None),
+                                   (False, QUERY_BLOCK + 5, causal_mask(QUERY_BLOCK + 5))):
+        attn.set_training(training)
+        x = rng.normal((1, length, d))
+        got = attn.forward(x, x, mask)[0]
+        want = _naive_mhsa(x[0], x[0], attn.wq.w, attn.wk.w, attn.wv.w, attn.wo.w, h, mask)
+        diff = float(np.max(np.abs(got - want)))
+        if not diff < tol:
+            mode = "training" if training else "eval"
+            failures.append(f"mhsa ({mode}, length {length}) vs naive loop oracle: "
+                            f"max abs diff {diff:.3g}")
+    return failures
 
 
 def check_sparse_align_dense(seed: int = 0, tol: float = 1e-12) -> List[str]:

@@ -1,11 +1,13 @@
 """Layer framework tests: forward oracles plus finite-difference gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from roadcast.errors import ConfigError
-from roadcast.nn import (Conv1dSame, DepthwiseConv1d, Embedding, LayerNorm,
-                         Linear, LoraLinear, Module, MultiHeadAttention,
+from roadcast.nn import (QUERY_BLOCK, Conv1dSame, DepthwiseConv1d, Embedding,
+                         LayerNorm, Linear, LoraLinear, Module, MultiHeadAttention,
                          causal_mask, merge_heads, sinusoidal_positions,
                          softmax_backward, split_heads)
 from roadcast.numerics import RngState, softmax_rows
@@ -357,6 +359,53 @@ def test_mhsa_cross_attention_separates_query_and_kv_grads():
         flat[i] = orig
         fd = (lp - lm) / (2 * h)
         assert abs(fd - dflat[i]) < 1e-6 * max(1.0, abs(fd))
+
+
+def _attention_mask(kind, b, length, rng):
+    if kind == "none":
+        return None
+    if kind == "causal":
+        return causal_mask(length)
+    hidden = rng.normal((b, 1, 1, length)) > 0.5  # a road mask, [B, 1, 1, Lk]
+    hidden[..., 0] = False  # every row keeps a key
+    return np.where(hidden, -np.inf, 0.0)
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "road", "causal"])
+@pytest.mark.parametrize("length", [1, QUERY_BLOCK, QUERY_BLOCK + 5, 256])
+def test_mhsa_eval_blocks_equal_training_form_bitwise(length, mask_kind):
+    """Eval mode attends in blocks of QUERY_BLOCK query rows (the last one
+    ragged at QUERY_BLOCK + 5); training mode in one block. Same bits."""
+    rng = RngState(23)
+    attn = MultiHeadAttention(32, 2, rng)
+    x = rng.normal((3, length, 32))
+    mask = _attention_mask(mask_kind, 3, length, rng)
+    q, (k, v) = attn.queries(x), attn.keys_values(x)
+    want_out, want_p = attn.attend(q, k, v, mask)
+    want = attn.forward(x, x, mask)
+    assert want_p.shape == (3, 2, length, length)
+    assert attn._cache[3].shape == (3, 2, length, length)  # training caches p
+    attn.set_training(False)
+    out, p = attn.attend(q, k, v, mask)
+    assert p is None
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(attn.forward(x, x, mask), want)
+    assert attn._cache is None
+
+
+def test_mhsa_eval_attend_never_holds_the_score_tensor():
+    """At [48, 2, 256, 16] one score tensor [48, 2, 256, 256] is 48 MiB; an
+    eval-mode attend peaks below half of that."""
+    attn = MultiHeadAttention(32, 2, RngState(24))
+    attn.set_training(False)
+    q = np.random.default_rng(24).normal(size=(48, 2, 256, 16))
+    tracemalloc.start()
+    try:
+        attn.attend(q, q, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 * 256 * 256 * 8 / 2
 
 
 def test_mhsa_rejects_bad_head_count():

@@ -12,6 +12,7 @@ from roadcast.dataset import (generate_synthetic, require_config, split_sizes, w
                               z_normalize)
 from roadcast.errors import ParameterError, ParseError
 from roadcast.model import JointModel, ModelConfig
+from roadcast.nn import QUERY_BLOCK
 from roadcast.numerics import RngState
 from roadcast.tokenizer import EOS, PAD
 from roadcast.training import (DECODE_BATCH, EVAL_BATCH, Adam, TrainConfig, batchify,
@@ -22,10 +23,10 @@ from roadcast.training import (DECODE_BATCH, EVAL_BATCH, Adam, TrainConfig, batc
                                table_grid, train)
 
 
-def tiny_setup(cfg, seed=0, n_steps=48):
-    graph, series, events = generate_synthetic(4, n_steps, 0.3, 0.4, seed=seed)
+def tiny_setup(cfg, seed=0, n_steps=48, n_nodes=4):
+    graph, series, events = generate_synthetic(n_nodes, n_steps, 0.3, 0.4, seed=seed)
     data = prepare_data(graph, series, events, cfg)
-    model = JointModel(cfg, vocab_size=len(data.vocab), n_nodes=4,
+    model = JointModel(cfg, vocab_size=len(data.vocab), n_nodes=n_nodes,
                        physical_adjacency=graph.adjacency, seed=seed)
     return graph, series, events, data, model
 
@@ -280,6 +281,16 @@ def test_report_batches_match_per_batch_forecast_and_decode(tiny_cfg, monkeypatc
     assert [seq for _, _, seqs in chunks for seq in seqs] == want
 
 
+def test_forecast_batches_equal_training_forward_above_one_query_block(tiny_cfg):
+    """At 40 roads eval-mode node attention runs a full query block and a
+    ragged one; the forecast has the bits of the one-block training form."""
+    _, _, _, data, model = tiny_setup(tiny_cfg, n_nodes=QUERY_BLOCK + 8)
+    chunk, y_hat = next(forecast_batches(model, data.test))
+    batch = batchify(chunk)
+    model.set_training(True)
+    assert np.array_equal(y_hat, model.forward_predict(batch["x_hist"], batch["text_hist"]))
+
+
 # --- eval mode keeps no backward caches --------------------------------------
 
 # What a module holds between calls that is not a backward cache: parameters,
@@ -294,10 +305,13 @@ def held_caches(module):
             if name.startswith("_") and name not in MODULE_STATE and value is not None]
 
 
-@pytest.mark.parametrize("train_first,decode", [(False, False), (True, False), (True, True)],
-                         ids=["forecast", "train-then-forecast", "train-then-decode"])
-def test_eval_forwards_keep_no_backward_cache(tiny_cfg, train_first, decode):
-    _, _, _, data, model = tiny_setup(tiny_cfg)
+@pytest.mark.parametrize("train_first,decode,n_nodes",
+                         [(False, False, 4), (True, False, 4), (True, True, 4),
+                          (True, True, QUERY_BLOCK + 8)],
+                         ids=["forecast", "train-then-forecast", "train-then-decode",
+                              "train-then-decode-blocked"])
+def test_eval_forwards_keep_no_backward_cache(tiny_cfg, train_first, decode, n_nodes):
+    _, _, _, data, model = tiny_setup(tiny_cfg, n_nodes=n_nodes)
     if train_first:
         forward_backward(model, batchify(data.train[:8]), lambda_text=0.5)
         # training mode keeps a cache in one layer of every class that has one
